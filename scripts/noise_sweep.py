@@ -23,22 +23,24 @@ def main(argv=None):
     ap.add_argument("--size", type=int, default=256)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", default=None,
-                    help="keep artifacts here (default: temporary directory)")
+                    help="keep artifacts here (default: a temporary directory removed on exit)")
     args = ap.parse_args(argv)
 
-    root = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="noise_sweep_"))
-    print(f"{'sigma':>8}  {'normal RMSE [deg]':>18}  {'radius err [um]':>16}  {'ok pixels':>10}")
-    for sigma in args.sigmas:
-        case = root / f"sigma_{sigma:g}"
-        doc = bearing_ball_manifest(size=args.size, sigma=sigma, seed=args.seed,
-                                    dop_model="exact")
-        pipeline.simulate(doc, case)
-        rec = pipeline.reconstruct(case, "multi")
-        ev = pipeline.evaluate(case / "solution", case / "truth")
-        r = ev["report"]
-        print(f"{sigma:>8g}  {r.normal_rmse_deg:>18.4f}  {r.radius_error_um:>16.2f}  "
-              f"{rec['stats']['counts']['ok']:>10}")
-    print(f"\nartifacts in {root}")
+    with tempfile.TemporaryDirectory(prefix="noise_sweep_") as tmp:
+        root = Path(args.out or tmp)
+        print(f"{'sigma':>8}  {'normal RMSE [deg]':>18}  {'radius err [um]':>16}  {'ok pixels':>10}")
+        for sigma in args.sigmas:
+            case = root / f"sigma_{sigma:g}"
+            doc = bearing_ball_manifest(size=args.size, sigma=sigma, seed=args.seed,
+                                        dop_model="exact")
+            pipeline.simulate(doc, case)
+            rec = pipeline.reconstruct(case, "multi")
+            ev = pipeline.evaluate(case / "solution", case / "truth")
+            r = ev["report"]
+            print(f"{sigma:>8g}  {r.normal_rmse_deg:>18.4f}  {r.radius_error_um:>16.2f}  "
+                  f"{rec['stats']['counts']['ok']:>10}")
+    if args.out:
+        print(f"\nartifacts in {root}")
     return 0
 
 

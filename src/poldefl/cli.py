@@ -56,7 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("reproduce", help="run the full experiment set")
     rep.add_argument("--out", default=None)
-    rep.add_argument("--size", type=int, default=512)
+    rep.add_argument("--size", type=int, default=512,
+                     help="sensor resolution for the bearing-ball cases")
+    rep.add_argument("--heightfield-size", type=int, default=192,
+                     help="sensor resolution for the qualitative heightfield cases")
     return p
 
 
@@ -94,7 +97,8 @@ def main(argv=None) -> int:
                       f"(error {r.radius_error_um:.1f} um)")
         elif args.command == "reproduce":
             out = args.out or Path(_default_out_root()) / "reproduce"
-            res = pipeline.reproduce(out, size=args.size)
+            res = pipeline.reproduce(out, size=args.size,
+                                     heightfield_size=args.heightfield_size)
             print(res["table"])
     except ManifestError as e:
         print(f"configuration error: {e}", file=sys.stderr)

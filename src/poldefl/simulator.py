@@ -15,6 +15,7 @@ display is assumed, so the source splits evenly between s and p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -70,12 +71,28 @@ class Plane:
         return t, points, normals
 
 
+HIT_TOL = 1e-9  # |z_ray - f| in scene units at which a ray has hit
+MAX_STEPS = 500  # sphere-tracing iterations before a ray is given up
+
+
 @dataclass(frozen=True)
 class HeightField:
     """z = f(x, y) over a rectangle, bicubic-interpolated from a grid.
 
-    Intersection: coarse march at a quarter of the grid cell size, then
-    bisection refinement of the first sign change of z_ray - f.
+    Intersection is sphere tracing (Hart 1996) of g(t) = z_ray(t) - f along
+    each ray. The interpolant is a bicubic B-spline, and its x- and
+    y-derivatives are B-splines whose coefficients are the scaled
+    differences 3 * dc / dknot of its own coefficients. B-spline bases are
+    nonnegative and sum to one, so the largest absolute derivative
+    coefficient bounds |df/dx| (and |df/dy|) everywhere on the grid. Hence
+    |g'(t)| <= |d_z| + Lx |d_x| + Ly |d_y|, and the step |g| / that rate
+    can never pass the first root, whichever side of the two-sided sheet
+    the ray starts on. Each ray starts at its entry into the bounding box
+    (whose z-range is the coefficients' range, which by the same argument
+    holds the whole sheet) and leaves the working set as soon as
+    |g| <= HIT_TOL, g changes sign (a rounding overshoot of the root), or
+    it leaves the box. Rays still active after MAX_STEPS iterations are
+    returned as misses, never as hits at an unconverged t.
     """
 
     x0: float
@@ -90,77 +107,72 @@ class HeightField:
         if z.shape[0] < 4 or z.shape[1] < 4 or not np.all(np.isfinite(z)):
             raise ValueError("heightfield grid must be >= 4x4 and finite")
 
-    def _spline(self) -> RectBivariateSpline:
+    @cached_property
+    def spline(self) -> RectBivariateSpline:
         ny, nx = self.z_grid.shape
         xs = self.x0 + self.dx * np.arange(nx)
         ys = self.y0 + self.dy * np.arange(ny)
         return RectBivariateSpline(ys, xs, self.z_grid, kx=3, ky=3)
 
-    def _height(self, spline, x, y):
-        ny, nx = self.z_grid.shape
-        inside = (
-            (x >= self.x0)
-            & (x <= self.x0 + self.dx * (nx - 1))
-            & (y >= self.y0)
-            & (y <= self.y0 + self.dy * (ny - 1))
-        )
-        z = spline(np.clip(y, self.y0, self.y0 + self.dy * (ny - 1)),
-                   np.clip(x, self.x0, self.x0 + self.dx * (nx - 1)), grid=False)
-        return z, inside
+    def slope_bounds(self) -> tuple[float, float]:
+        """Sound bounds (Lx, Ly) on |df/dx| and |df/dy| over the grid,
+        from the coefficients of the spline's derivative B-splines."""
+        ty, tx, c = self.spline.tck
+        ky, kx = self.spline.degrees
+        c = c.reshape(len(ty) - ky - 1, len(tx) - kx - 1)
+        dcy = ky * np.diff(c, axis=0) / (ty[ky + 1:-1] - ty[1:-ky - 1])[:, None]
+        dcx = kx * np.diff(c, axis=1) / (tx[kx + 1:-1] - tx[1:-kx - 1])
+        return float(np.max(np.abs(dcx))), float(np.max(np.abs(dcy)))
 
-    def intersect(self, origin, dirs, t_max: float = 1e4, refine: int = 30):
-        spline = self._spline()
-        step = 0.25 * min(self.dx, self.dy)
+    def first_hit(self, origin, dirs, t_max: float = 1e4):
+        """Ray parameter of each ray's first hit (nan on a miss), and the
+        mask of rays given up as misses at MAX_STEPS."""
+        lx, ly = self.slope_bounds()
         ny, nx = self.z_grid.shape
-        lo = np.array([self.x0, self.y0, float(np.min(self.z_grid))])
+        coef = self.spline.get_coeffs()
+        lo = np.array([self.x0, self.y0, float(np.min(coef))])
         hi = np.array([self.x0 + self.dx * (nx - 1),
                        self.y0 + self.dy * (ny - 1),
-                       float(np.max(self.z_grid))])
+                       float(np.max(coef))])
 
-        def f(t):
-            p = origin + t[..., None] * dirs
-            z, inside = self._height(spline, p[..., 0], p[..., 1])
-            return np.where(inside, p[..., 2] - z, np.nan)
-
-        # Slab test against the grid's bounding box bounds the march.
+        d = dirs.reshape(-1, 3)
+        o = np.broadcast_to(origin, dirs.shape).reshape(-1, 3)
+        # Slab test against the bounding box gives each ray's span.
         with np.errstate(divide="ignore", invalid="ignore"):
-            ta = (lo - origin) / dirs
-            tb = (hi - origin) / dirs
-        t_near = np.max(np.minimum(ta, tb), axis=-1)
-        t_far = np.min(np.maximum(ta, tb), axis=-1)
-        t_near = np.clip(t_near, 1e-6, t_max)
-        t_far = np.minimum(t_far, t_max)
-        span = float(np.nanmax(np.where(t_far > t_near, t_far - t_near, 0.0)))
-        steps = max(2, int(np.ceil(span / step)))
+            ta = (lo - o) / d
+            tb = (hi - o) / d
+        t = np.clip(np.max(np.minimum(ta, tb), axis=-1), 1e-6, t_max)
+        t_far = np.minimum(np.min(np.maximum(ta, tb), axis=-1), t_max)
+        rate = np.abs(d[:, 2]) + lx * np.abs(d[:, 0]) + ly * np.abs(d[:, 1])
+        hit = np.zeros(t.shape, dtype=bool)
 
+        active = np.flatnonzero(t <= t_far)
+        side = None  # sign of g at each active ray's box entry
+        for _ in range(MAX_STEPS):
+            if active.size == 0:
+                break
+            p = o[active] + t[active, None] * d[active]
+            g = p[:, 2] - self.spline(np.clip(p[:, 1], lo[1], hi[1]),
+                                      np.clip(p[:, 0], lo[0], hi[0]), grid=False)
+            if side is None:
+                side = np.sign(g)
+            done = (np.abs(g) <= HIT_TOL) | (np.sign(g) != side)
+            hit[active[done]] = True
+            t[active] += np.where(done, 0.0, np.abs(g) / rate[active])
+            keep = ~done & (t[active] <= t_far[active])
+            active, side = active[keep], side[keep]
+
+        capped = np.zeros(t.shape, dtype=bool)
+        capped[active] = True
         shape = dirs.shape[:-1]
-        t_lo = np.full(shape, np.nan)
-        t_hi = np.full(shape, np.nan)
-        f_lo = np.full(shape, np.nan)
-        prev_t = np.full(shape, np.nan)
-        prev_f = np.full(shape, np.nan)
-        for k in range(steps + 1):
-            tt = t_near + (t_far - t_near) * (k / steps)
-            ft = f(tt)
-            # first sign change in either direction brackets the hit
-            bracket = np.isnan(t_lo) & (prev_f * ft <= 0) & np.isfinite(prev_f) & np.isfinite(ft)
-            t_lo = np.where(bracket, prev_t, t_lo)
-            t_hi = np.where(bracket, tt, t_hi)
-            f_lo = np.where(bracket, prev_f, f_lo)
-            prev_t, prev_f = tt, ft
-        hit = np.isfinite(t_lo)
-        for _ in range(refine):
-            mid = 0.5 * (t_lo + t_hi)
-            fm = f(mid)
-            same = np.sign(fm) == np.sign(f_lo)
-            t_lo = np.where(hit & same, mid, t_lo)
-            f_lo = np.where(hit & same, fm, f_lo)
-            t_hi = np.where(hit & ~same, mid, t_hi)
-        t = np.where(hit, 0.5 * (t_lo + t_hi), np.nan)
+        return np.where(hit, t, np.nan).reshape(shape), capped.reshape(shape)
+
+    def intersect(self, origin, dirs, t_max: float = 1e4):
+        t, _ = self.first_hit(origin, dirs, t_max)
         points = origin + t[..., None] * dirs
         x, y = points[..., 0], points[..., 1]
-        gx = spline(y, x, dx=0, dy=1, grid=False)
-        gy = spline(y, x, dx=1, dy=0, grid=False)
+        gx = self.spline(y, x, dx=0, dy=1, grid=False)
+        gy = self.spline(y, x, dx=1, dy=0, grid=False)
         normals = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
         normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
         # two-sided sheet: orient toward the viewer
@@ -374,14 +386,3 @@ def render_stack(scene: Scene, truth: GroundTruth | None = None):
     }
     return frames, report
 
-
-def render_exact_vs_model(scene: Scene, truth: GroundTruth | None = None) -> np.ndarray:
-    """Per-pixel |rho_exact - rho_eq6| over the hit mask (metals only)."""
-    if scene.material.is_dielectric:
-        raise ValueError("model-mismatch diagnostic is metal-only")
-    if truth is None:
-        truth = trace(scene)
-    theta = np.where(truth.mask, truth.theta, 0.0)
-    exact = dop_model(theta, scene.material, "exact")
-    approx = dop_model(theta, scene.material, "eq6")
-    return np.where(truth.mask, np.abs(exact - approx), np.nan)

@@ -143,6 +143,17 @@ class TestCli:
     def test_threads_below_one_is_config_error(self):
         assert cli.main(["--threads", "0", "simulate", "--manifest", "x.json"]) == cli.EXIT_CONFIG
 
+    def test_reproduce_passes_both_sizes(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "reproduce",
+                            lambda out, **kw: calls.append(kw) or {"table": ""})
+        out = str(tmp_path / "rep")
+        assert cli.main(["reproduce", "--out", out]) == 0
+        assert cli.main(["reproduce", "--out", out, "--size", "64",
+                         "--heightfield-size", "32"]) == 0
+        assert calls == [{"size": 512, "heightfield_size": 192},
+                         {"size": 64, "heightfield_size": 32}]
+
     def test_invalid_manifest_is_config_error(self, tmp_path):
         doc = bearing_ball_manifest(size=SMALL)
         doc["surface"] = {"kind": "torus"}

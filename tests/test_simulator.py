@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poldefl import geometry as geo
+from poldefl import simulator
 from poldefl.codec import PatternSpec
 from poldefl.geometry import (
     DisplayPlane,
@@ -12,6 +13,7 @@ from poldefl.geometry import (
     bisector_normal,
     half_angle,
 )
+from poldefl.manifest import qualitative_heightfield_manifest, scene_from_manifest
 from poldefl.polarization import (
     MATERIAL_PRESETS,
     MaterialOpticalProperties,
@@ -26,7 +28,6 @@ from poldefl.simulator import (
     Scene,
     Sphere,
     aolp_of,
-    render_exact_vs_model,
     render_frame,
     render_stack,
     sample_bilinear,
@@ -38,6 +39,10 @@ STEEL = MATERIAL_PRESETS["bearing-ball-steel"]
 
 def _cam(n=32):
     return PinholeCamera(fx=2.0 * n, fy=2.0 * n, cx=n / 2, cy=n / 2, width=n, height=n)
+
+
+def _horse(n):
+    return scene_from_manifest(qualitative_heightfield_manifest("horse", size=n))
 
 
 def _coplanar_display():
@@ -160,6 +165,72 @@ class TestSurfaces:
         # hf normals are flipped toward the viewer (camera below the sheet)
         align = np.abs(np.sum(n_h[sel] * n_p[sel], axis=-1))
         np.testing.assert_allclose(align, 1.0, atol=1e-6)
+
+    def test_heightfield_paraboloid_first_root(self):
+        """Bowl z = 20 + 0.2 r^2 seen from below its vertex: a ray meets it
+        where 0.2 a t^2 - d_z t + 20 = 0 (a = d_x^2 + d_y^2), and the first
+        hit is the smaller root. Near the rim the larger root lies on the
+        grid too, so returning it would fail."""
+        xs = np.linspace(-15.0, 15.0, 41)
+        zg = 20.0 + 0.2 * (xs[None, :] ** 2 + xs[:, None] ** 2)
+        hf = HeightField(x0=-15.0, y0=-15.0, dx=0.75, dy=0.75, z_grid=zg)
+        rays = _cam(24).ray_grid()
+        t, p, n = hf.intersect(np.zeros(3), rays)
+        dz = rays[..., 2]
+        disc = dz**2 - 16.0 * (rays[..., 0] ** 2 + rays[..., 1] ** 2)
+        hits, misses = disc > 0.02, disc < -0.02
+        assert hits.sum() > 300 and misses.sum() > 50
+        t_first = 40.0 / (dz[hits] + np.sqrt(disc[hits]))
+        np.testing.assert_allclose(t[hits], t_first, atol=1e-6)
+        assert np.all(np.isnan(t[misses]))
+        P = p[hits]
+        n_true = geo.normalize(np.stack([-0.4 * P[:, 0], -0.4 * P[:, 1],
+                                         np.ones(len(P))], axis=-1))
+        np.testing.assert_allclose(np.abs(np.sum(n[hits] * n_true, axis=-1)), 1.0,
+                                   atol=1e-9)
+
+    def test_heightfield_grazed_ridge_before_valley(self):
+        """A level ray clips the top of a ridge thinner than a grid cell,
+        then crosses a deep valley and meets a far wall: the ridge is the
+        hit."""
+        xs = np.linspace(-10.0, 10.0, 81)
+        h = (np.exp(-xs**2 / 0.5) - 3.0 * np.exp(-((xs - 4.0) / 2.0) ** 2)
+             + 3.0 * np.exp(-((xs - 10.0) / 1.5) ** 2))
+        hf = HeightField(x0=-10.0, y0=-2.0, dx=0.25, dy=1.0, z_grid=np.tile(h, (5, 1)))
+        z0 = h[40] - 0.01  # 10 um below the ridge's crest
+        t, p, _ = hf.intersect(np.array([-10.0, 0.0, z0]), np.array([[1.0, 0.0, 0.0]]))
+        assert -0.25 < p[0, 0] < 0.0
+        assert abs(z0 - hf.spline(0.0, p[0, 0], grid=False)) <= 1e-8
+        before = np.linspace(-10.0, p[0, 0], 20001)[:-1]
+        assert np.all(z0 - hf.spline(0.0, before, grid=False) > 0.0)
+
+    def test_heightfield_slope_bound_is_sound(self):
+        hf = _horse(96).surface
+        lx, ly = hf.slope_bounds()
+        rng = np.random.default_rng(0)
+        x, y = rng.uniform(-14.0, 14.0, (2, 200_000))
+        gx = np.max(np.abs(hf.spline(y, x, dy=1, grid=False)))
+        gy = np.max(np.abs(hf.spline(y, x, dx=1, grid=False)))
+        assert gx <= lx <= 1.25 * gx
+        assert gy <= ly <= 1.25 * gy
+
+    def test_heightfield_no_ray_reaches_step_cap(self):
+        scene = _horse(96)
+        t, capped = scene.surface.first_hit(scene.camera.center, scene.camera.ray_grid())
+        assert not capped.any()
+        assert np.isfinite(t).sum() > 8000
+
+    def test_heightfield_capped_rays_are_misses(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_STEPS", 10)
+        scene = _horse(96)
+        rays = scene.camera.ray_grid()
+        t, capped = scene.surface.first_hit(scene.camera.center, rays)
+        assert capped.sum() > 1000
+        assert np.all(np.isnan(t[capped]))
+        p = scene.camera.center + t[..., None] * rays
+        sel = np.isfinite(t)
+        g = p[sel, 2] - scene.surface.spline(p[sel, 1], p[sel, 0], grid=False)
+        assert sel.sum() > 100 and np.max(np.abs(g)) <= 1e-8
 
     def test_heightfield_validation(self):
         with pytest.raises(ValueError):
@@ -317,24 +388,6 @@ class TestNoiseModel:
         assert not np.array_equal(nm.apply(img, 0, 0), nm.apply(img, 0, 1))
         assert not np.array_equal(nm.apply(img, 0, 0), nm.apply(img, 1, 0))
         np.testing.assert_array_equal(nm.apply(img, 3, 2), nm.apply(img, 3, 2))
-
-
-class TestExactVsModel:
-    def test_dielectric_rejected(self):
-        scene = _plane_mirror_scene(material=MaterialOpticalProperties(m=1.5))
-        with pytest.raises(ValueError):
-            render_exact_vs_model(scene)
-
-    def test_bearing_ball_difference_reported(self, ball_truth):
-        scene, truth = ball_truth
-        diff = render_exact_vs_model(scene, truth)
-        sel = truth.mask
-        assert np.all(np.isfinite(diff[sel]))
-        assert 0 < np.nanmax(diff[sel]) < 1.0
-        # theta ~ 0 pixels: both models vanish
-        near_retro = sel & (truth.theta < 1e-3)
-        if np.any(near_retro):
-            assert np.nanmax(diff[near_retro]) < 1e-2
 
 
 class TestSampleBilinear:
