@@ -29,9 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="poldefl",
         description="Polarimetric deflectometry simulator and reconstructor",
     )
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for intra-stage parallelism (results are "
-                        "deterministic regardless)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="render a scene manifest to disk")
@@ -65,10 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     from . import pipeline
 
     try:

@@ -220,8 +220,9 @@ def half_angle(S: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
 def half_angle_along_ray(origin: np.ndarray, direction: np.ndarray, D: np.ndarray, s):
     """half_angle at S = origin + s*direction without the degeneracy check.
 
-    Vectorized over s and D; used by the depth root-finder where the
-    bracket keeps the geometry away from the antipodal case.
+    Vectorized over s and D. This is g(s), strictly decreasing in s;
+    reconstruct.solve_depth_for_theta inverts it in closed form, and the
+    tests use it as the reference for that inverse.
     """
     s = np.asarray(s, dtype=np.float64)
     S = origin + s[..., None] * direction

@@ -64,10 +64,6 @@ def write_sidecar(pfm_path, meta: dict):
     Path(pfm_path).with_suffix(".json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
-def read_sidecar(pfm_path) -> dict:
-    return json.loads(Path(pfm_path).with_suffix(".json").read_text())
-
-
 def write_ply(path, points: np.ndarray, normals: np.ndarray | None = None):
     """ASCII PLY with optional per-vertex normals. Empty clouds produce a
     valid zero-vertex file."""

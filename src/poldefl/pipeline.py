@@ -179,7 +179,7 @@ def _decode_single_shot(frames, spec, guard: int = 8, *,
 
 
 def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
-                dop_model: str | None = None, tol_s: float = 1e-3,
+                dop_model: str | None = None,
                 tol_theta: float = 1e-7, guard: int = 8,
                 dark_threshold: float = 0.05, modulation_threshold: float = 0.02,
                 with_baseline: bool = False) -> dict:
@@ -232,12 +232,13 @@ def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
     record.stage("decode")
 
     # Inversion model: explicit request wins, else match the synthesis
-    # model of the scene (the 'exact' Fresnel curve is unimodal too and
-    # inverts by the same bisection).
+    # model of the scene (the 'exact' Fresnel curve is unimodal too, so
+    # invert_dop brackets its two branches like eq5 and eq6). The DoP is
+    # inverted once, in fuse_map; the baseline reuses its candidates.
     model = dop_model or scene.dop_model
     solution, stats = fuse_map(
         stokes, corr, scene.camera, scene.display, scene.interval, scene.material,
-        dop_model=model, tol_s=tol_s, tol_theta=tol_theta, strict_dop=strict_dop,
+        dop_model=model, tol_theta=tol_theta, strict_dop=strict_dop,
     )
     record.stage("fuse")
 
@@ -262,7 +263,7 @@ def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
         if tn_path.exists():
             truth_n = read_pfm(tn_path)
         baseline = orthographic_baseline(
-            stokes, scene.material, scene.camera, dop_model=model, truth_normals=truth_n
+            stokes, solution.candidates, scene.camera, truth_normals=truth_n
         )
         if baseline.best is not None:
             write_pfm(out / "orthographic_best.pfm", _nan_to(baseline.best))

@@ -20,12 +20,6 @@ from scipy.optimize import minimize_scalar
 # Grazing cutoff: stay this far below pi/2 so tan(theta) cannot overflow.
 GRAZING_EPS = 1e-4
 
-QUAD_ANGLES = np.deg2rad([0.0, 45.0, 90.0, 135.0])
-
-
-class FitError(ValueError):
-    """Rank-deficient or otherwise unusable sinusoid fit input."""
-
 
 @dataclass(frozen=True)
 class MaterialOpticalProperties:
@@ -171,50 +165,12 @@ def stokes_from_quad(i0, i45, i90, i135, dark_threshold: float = 1e-6) -> Stokes
     )
 
 
-def resynthesize_channels(est: StokesEstimate, angles=QUAD_ANGLES):
-    """Channel intensities predicted by the sinusoid model at the given
-    polarizer angles. With consistent inputs (i0+i90 == i45+i135) this
-    reproduces the original quad exactly."""
-    amp = est.s0 * est.dop / 2.0
-    mean = est.s0 / 2.0
-    return [mean + amp * np.cos(2.0 * (a - est.aolp)) for a in angles]
-
-
-def sinusoid_fit(angles, intensities):
-    """Least-squares fit of I(a) = (Imax+Imin)/2 + (Imax-Imin)/2 cos(2(a-phi)).
-
-    Returns (i_max, i_min, phi, degenerate) where degenerate flags a fit
-    with no resolvable modulation (constant samples). Negative fitted
-    i_min is clamped to 0 and flagged.
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    intensities = np.asarray(intensities, dtype=np.float64)
-    if angles.size < 3:
-        raise FitError("need at least 3 samples")
-    if np.unique(np.round(np.mod(angles, np.pi), 12)).size < 3:
-        raise FitError("need at least 3 distinct angles modulo pi")
-    A = np.stack([np.ones_like(angles), np.cos(2 * angles), np.sin(2 * angles)], axis=-1)
-    coef, *_ = np.linalg.lstsq(A, intensities, rcond=None)
-    c0, c1, c2 = coef
-    amp = np.hypot(c1, c2)
-    phi = np.mod(0.5 * np.arctan2(c2, c1), np.pi)
-    i_max = c0 + amp
-    i_min = c0 - amp
-    degenerate = amp < 1e-12 * max(1.0, abs(c0))
-    if i_min < 0:
-        i_min = 0.0
-        degenerate = True
-    return i_max, i_min, phi, degenerate
-
-
 @dataclass
 class IncidenceCandidates:
     """The two incidence angles compatible with a measured DoP.
 
-    theta_low/theta_high are nan where absent. saturated marks pixels whose
-    measured DoP exceeded the model peak; under the default clamp policy
-    those pixels carry theta_peak on both branches, under the strict
-    policy they are left nan.
+    saturated marks pixels whose measured DoP exceeded the model peak;
+    those pixels carry theta_peak on both branches.
     """
 
     theta_low: np.ndarray
@@ -253,14 +209,12 @@ def invert_dop(
     mat: MaterialOpticalProperties,
     tol: float = 1e-7,
     model: str | None = None,
-    clamp_saturated: bool = True,
 ) -> IncidenceCandidates:
     """Invert the DoP curve: measured rho -> the two candidate thetas.
 
     The curve is unimodal on [0, pi/2): one root below theta_peak, one
     above. Vectorized over rho. Saturated pixels (rho > rho_max) are
-    flagged; clamp_saturated=True pins them to theta_peak, otherwise both
-    candidates are nan.
+    flagged and pinned to theta_peak.
     """
     model = model or mat.default_model
     rho = np.asarray(rho, dtype=np.float64)
@@ -281,12 +235,8 @@ def invert_dop(
     theta_high = np.where(rho_c <= rho_grazing, hi, theta_high)
     theta_low = np.where(rho_c <= 0.0, 0.0, theta_low)
 
-    if not clamp_saturated:
-        theta_low = np.where(saturated, np.nan, theta_low)
-        theta_high = np.where(saturated, np.nan, theta_high)
-    else:
-        theta_low = np.where(saturated, theta_peak, theta_low)
-        theta_high = np.where(saturated, theta_peak, theta_high)
+    theta_low = np.where(saturated, theta_peak, theta_low)
+    theta_high = np.where(saturated, theta_peak, theta_high)
     return IncidenceCandidates(
         theta_low=theta_low,
         theta_high=theta_high,

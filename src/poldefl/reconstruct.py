@@ -2,14 +2,16 @@
 deflectometric correspondence, plus the orthographic baseline.
 
 Per pixel: the measured DoP gives two candidate incidence angles. For
-each candidate the half-angle equation
+each candidate theta the surface point S = O + s*d on the camera ray
+follows from the law of sines in the triangle camera centre O, S and
+display point D: the angle at S is 2*theta and the angle at O is phi,
+the angle between the ray and OD, so
 
-    half_angle(O + s*d, O, D) = theta
+    s = |OD| * sin(phi + 2*theta) / sin(2*theta).
 
-is solved for the standoff s by bisection (the left side is strictly
-decreasing in s). Candidates whose root falls outside the working
-distance interval are discarded; the surviving root fixes the surface
-point and, through the bisector construction, the normal.
+Candidates whose depth falls outside the working distance interval are
+discarded; the surviving root fixes the surface point and, through the
+bisector construction, the normal.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import geometry as geo
 from .codec import CorrespondenceMap
-from .geometry import DisplayPlane, PinholeCamera, WorkingDistanceInterval, half_angle_along_ray
+from .geometry import DisplayPlane, PinholeCamera, WorkingDistanceInterval
 from .polarization import (
     IncidenceCandidates,
     MaterialOpticalProperties,
@@ -47,12 +49,11 @@ class SurfaceSolution:
     """Per-pixel fused solution (nan where not solved)."""
 
     depth: np.ndarray  # standoff s along the ray, mm
-    t: np.ndarray  # dimensionless depth s/|OC|, chip at the unit focal plane
     points: np.ndarray
     normals: np.ndarray
     theta: np.ndarray
-    branch: np.ndarray  # 0 = low, 1 = high, -1 = n/a
     status: np.ndarray
+    candidates: IncidenceCandidates  # the DoP inverse the fusion used
 
     @property
     def ok(self) -> np.ndarray:
@@ -68,97 +69,52 @@ def solve_depth_for_theta(
     D: np.ndarray,
     theta,
     interval: WorkingDistanceInterval,
-    tol_s: float = 1e-3,
 ):
-    """Bisection root of half_angle(O + s*d, O, D) = theta on the working
-    interval. Vectorized; returns s with nan where no root exists (theta
-    outside [g(s_max), g(s_min)]) or where theta is degenerate (~0).
+    """Depth s along each ray at which half_angle(O + s*d, O, D) = theta.
+
+    Law of sines in the triangle O, S, D (see the module docstring).
+    With along = OD.d = |OD|cos(phi) and perp = |OD|sin(phi) the sine of
+    the sum expands to s = along + perp / tan(2*theta). Vectorized;
+    returns nan where s leaves the working interval (this covers
+    phi + 2*theta >= pi, where s <= 0), where theta is degenerate (~0)
+    or nan, and where D lies on the ray line.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    g = lambda s: half_angle_along_ray(origin, dirs, D, s)
-    shape = np.broadcast_shapes(theta.shape, dirs.shape[:-1])
-    lo = np.full(shape, float(interval.s_min))
-    hi = np.full(shape, float(interval.s_max))
-    g_lo = g(lo)
-    g_hi = g(hi)
-    # D on the ray line is the retro-reflective degeneracy: theta = 0 for
-    # every s beyond D, so no root determines the depth.
     rel = np.asarray(D, dtype=np.float64) - origin
     along = geo.dot(rel, dirs)
+    # D on the ray line is the retro-reflective degeneracy: theta = 0 for
+    # every s beyond D, so no root determines the depth.
     perp = np.linalg.norm(rel - along[..., None] * dirs, axis=-1)
-    feasible = (
-        (g_lo >= theta) & (g_hi <= theta) & (theta > THETA_ZERO_EPS) & (perp > 1e-6)
-    )
-    span = interval.s_max - interval.s_min
-    iters = max(1, int(np.ceil(np.log2(span / tol_s))) + 1)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        go_right = g_mid > theta  # g decreasing: root is above mid
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    s = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = along + perp / np.tan(2.0 * theta)
+    feasible = (theta > THETA_ZERO_EPS) & (perp > 1e-6) & interval.contains(s)
     return np.where(feasible, s, np.nan)
 
 
-def fuse_map(
-    stokes: StokesEstimate,
-    corr: CorrespondenceMap,
-    cam: PinholeCamera,
-    disp: DisplayPlane,
-    interval: WorkingDistanceInterval,
-    mat: MaterialOpticalProperties,
-    dop_model: str = "eq6",
-    tol_s: float = 1e-3,
-    tol_theta: float = 1e-7,
-    strict_dop: bool = False,
-    prefer_branch: str = "low",
-):
-    """Fuse DoP and correspondence over the full raster.
-
-    Returns (SurfaceSolution, stats). Feasibility filtering over the
-    working interval realizes the geometric constraints; a pixel where
-    both branches survive is resolved by prefer_branch and flagged
-    BOTH_FEASIBLE.
-    """
-    if stokes.dop.shape != corr.i.shape:
-        raise ValueError("stokes and correspondence rasters must be co-registered")
-    shape = stokes.dop.shape
-    rays = cam.ray_grid()
-    if rays.shape[:-1] != shape:
-        raise ValueError("raster dimensions do not match the camera model")
-    origin = cam.center
-
-    measurable = stokes.valid & corr.valid
-    cand = invert_dop(
-        stokes.dop, mat, tol=tol_theta, model=dop_model, clamp_saturated=not strict_dop
-    )
-
-    ij = np.stack([corr.i, corr.j], axis=-1)
-    D = disp.index_to_point(np.where(measurable[..., None], ij, 0.0))
-
-    theta_low = np.where(measurable, cand.theta_low, np.nan)
-    theta_high = np.where(measurable, cand.theta_high, np.nan)
-    with np.errstate(invalid="ignore"):
-        s_low = solve_depth_for_theta(origin, rays, D, np.nan_to_num(theta_low), interval, tol_s)
-        s_high = solve_depth_for_theta(origin, rays, D, np.nan_to_num(theta_high), interval, tol_s)
-    s_low = np.where(np.isfinite(theta_low), s_low, np.nan)
-    s_high = np.where(np.isfinite(theta_high), s_high, np.nan)
+def _fuse(rho, D, rays, measurable, origin, interval, mat, dop_model, tol_theta,
+          strict_dop):
+    """The one fusion path: DoP inverse, depth per branch, status and
+    normals for every ray (any leading shape). Returns the solution and
+    the per-branch depths (s_low, s_high)."""
+    cand = invert_dop(rho, mat, tol=tol_theta, model=dop_model)
+    # The strict policy takes a saturated DoP for no measurement, so its
+    # clamped angles are not solved.
+    keep = measurable & ~(strict_dop & cand.saturated)
+    theta_low = np.where(keep, cand.theta_low, np.nan)
+    theta_high = np.where(keep, cand.theta_high, np.nan)
+    s_low = solve_depth_for_theta(origin, rays, D, theta_low, interval)
+    s_high = solve_depth_for_theta(origin, rays, D, theta_high, interval)
 
     low_ok = np.isfinite(s_low)
     high_ok = np.isfinite(s_high)
-    both = low_ok & high_ok
-    use_low = low_ok & (~high_ok | (prefer_branch == "low"))
-
-    s = np.where(use_low, s_low, s_high)
-    theta = np.where(use_low, theta_low, theta_high)
-    branch = np.where(use_low, 0, np.where(high_ok, 1, -1))
     solved = low_ok | high_ok
+    s = np.where(low_ok, s_low, s_high)
+    theta = np.where(low_ok, theta_low, theta_high)
 
-    status = np.full(shape, int(Status.INVALID_DECODE), dtype=np.int16)
+    status = np.full(measurable.shape, int(Status.INVALID_DECODE), dtype=np.int16)
     status[measurable] = Status.NO_ROOT
     status[measurable & solved] = Status.OK
-    status[measurable & solved & both] = Status.BOTH_FEASIBLE
+    status[measurable & low_ok & high_ok] = Status.BOTH_FEASIBLE
     if strict_dop:
         status[measurable & cand.saturated] = Status.INVALID_DECODE
     else:
@@ -170,24 +126,48 @@ def fuse_map(
     normals = np.full(points.shape, np.nan)
     if np.any(usable):
         normals[usable] = geo.bisector_normal(points[usable], origin, D[usable])
-    theta = np.where(usable, theta, np.nan)
-    branch = np.where(usable, branch, -1)
-
-    # t of the classic parameterization OS = t*OC, with the chip point C
-    # placed on the unit focal plane (|OC| per pixel in focal units).
-    d_cam = cam.world_to_camera(rays)
-    oc = 1.0 / d_cam[..., 2]
-    t_dimless = s / oc
-
     sol = SurfaceSolution(
         depth=s,
-        t=t_dimless,
         points=points,
         normals=normals,
-        theta=theta,
-        branch=branch,
+        theta=np.where(usable, theta, np.nan),
         status=status,
+        candidates=cand,
     )
+    return sol, (s_low, s_high)
+
+
+def fuse_map(
+    stokes: StokesEstimate,
+    corr: CorrespondenceMap,
+    cam: PinholeCamera,
+    disp: DisplayPlane,
+    interval: WorkingDistanceInterval,
+    mat: MaterialOpticalProperties,
+    dop_model: str = "eq6",
+    tol_theta: float = 1e-7,
+    strict_dop: bool = False,
+):
+    """Fuse DoP and correspondence over the full raster.
+
+    Returns (SurfaceSolution, stats). Feasibility filtering over the
+    working interval realizes the geometric constraints; a pixel where
+    both branches survive takes the low branch and is flagged
+    BOTH_FEASIBLE.
+    """
+    if stokes.dop.shape != corr.i.shape:
+        raise ValueError("stokes and correspondence rasters must be co-registered")
+    shape = stokes.dop.shape
+    rays = cam.ray_grid()
+    if rays.shape[:-1] != shape:
+        raise ValueError("raster dimensions do not match the camera model")
+
+    measurable = stokes.valid & corr.valid
+    ij = np.stack([corr.i, corr.j], axis=-1)
+    D = disp.index_to_point(np.where(measurable[..., None], ij, 0.0))
+    sol, _ = _fuse(stokes.dop, D, rays, measurable, cam.center, interval, mat,
+                   dop_model, tol_theta, strict_dop)
+
     counts = sol.counts()
     n_meas = int(np.sum(measurable))
     stats = {
@@ -195,8 +175,8 @@ def fuse_map(
         "measurable": n_meas,
         "counts": counts,
         "ok_fraction": counts["ok"] / n_meas if n_meas else 0.0,
-        "theta_peak": cand.theta_peak,
-        "rho_max": cand.rho_max,
+        "theta_peak": sol.candidates.theta_peak,
+        "rho_max": sol.candidates.rho_max,
     }
     return sol, stats
 
@@ -208,43 +188,37 @@ def fuse_pixel(
     origin: np.ndarray,
     interval: WorkingDistanceInterval,
     mat: MaterialOpticalProperties,
-    **kwargs,
+    *,
+    dop_model: str = "eq6",
+    tol_theta: float = 1e-7,
+    strict_dop: bool = False,
 ):
-    """Single-pixel convenience wrapper around the vectorized fusion."""
-    from .codec import CorrespondenceMap  # local: avoid cycles in doc tools
+    """Fusion of one measurable pixel through the raster code path.
 
-    cand = invert_dop(np.asarray([rho]), mat, model=kwargs.get("dop_model", "eq6"),
-                      tol=kwargs.get("tol_theta", 1e-7),
-                      clamp_saturated=not kwargs.get("strict_dop", False))
-    dirs = np.asarray(ray, dtype=np.float64)[None, :]
-    out = {}
-    for name, th in (("low", cand.theta_low), ("high", cand.theta_high)):
-        s = solve_depth_for_theta(origin, dirs, np.asarray(D)[None, :], np.nan_to_num(th),
-                                  interval, kwargs.get("tol_s", 1e-3))
-        out[name] = float(s[0]) if np.isfinite(th[0]) and np.isfinite(s[0]) else None
-    feasible = [b for b in ("low", "high") if out[b] is not None]
-    if bool(cand.saturated[0]) and kwargs.get("strict_dop", False):
-        return {"status": Status.INVALID_DECODE, "branches": out}
-    if not feasible:
-        return {"status": Status.NO_ROOT, "branches": out}
-    branch = "low" if "low" in feasible else "high"
-    s = out[branch]
-    S = np.asarray(origin) + s * dirs[0]
-    n = geo.bisector_normal(S, np.asarray(origin), np.asarray(D, dtype=np.float64))
-    if bool(cand.saturated[0]):
-        status = Status.SATURATED_DOP
-    elif len(feasible) == 2:
-        status = Status.BOTH_FEASIBLE
-    else:
-        status = Status.OK
-    theta = cand.theta_low[0] if branch == "low" else cand.theta_high[0]
+    Returns a dict with the status and the depth of each branch
+    ("branches", None where infeasible); a usable pixel also carries the
+    chosen branch, depth, point, normal and theta.
+    """
+    sol, depths = _fuse(
+        np.asarray([rho], dtype=np.float64),
+        np.asarray(D, dtype=np.float64)[None, :],
+        np.asarray(ray, dtype=np.float64)[None, :],
+        np.ones(1, dtype=bool),
+        np.asarray(origin, dtype=np.float64),
+        interval, mat, dop_model, tol_theta, strict_dop,
+    )
+    out = {name: float(s[0]) if np.isfinite(s[0]) else None
+           for name, s in zip(("low", "high"), depths)}
+    status = Status(int(sol.status[0]))
+    if status in (Status.INVALID_DECODE, Status.NO_ROOT):
+        return {"status": status, "branches": out}
     return {
         "status": status,
-        "branch": branch,
-        "depth": s,
-        "point": S,
-        "normal": n,
-        "theta": float(theta),
+        "branch": "low" if out["low"] is not None else "high",
+        "depth": float(sol.depth[0]),
+        "point": sol.points[0],
+        "normal": sol.normals[0],
+        "theta": float(sol.theta[0]),
         "branches": out,
     }
 
@@ -286,21 +260,19 @@ class OrthographicNormals:
 
 def orthographic_baseline(
     stokes: StokesEstimate,
-    mat: MaterialOpticalProperties,
+    cand: IncidenceCandidates,
     cam: PinholeCamera,
-    dop_model: str = "eq6",
-    tol_theta: float = 1e-7,
     truth_normals: np.ndarray | None = None,
 ) -> OrthographicNormals:
     """Conventional SfP normals under the orthographic assumption.
 
-    Zenith candidates {theta_low, theta_high} from the DoP, azimuth
+    Zenith candidates {theta_low, theta_high} from the DoP inverse (the
+    one fusion computed, SurfaceSolution.candidates), azimuth
     candidates alpha = aolp +/- pi/2; camera-frame normal
     (sin t cos a, sin t sin a, -cos t) (towards the camera), rotated to
     world. The best-case map (needs truth) upper-bounds what any
     disambiguation could achieve and isolates the orthographic error.
     """
-    cand = invert_dop(stokes.dop, mat, tol=tol_theta, model=dop_model)
     shape = stokes.dop.shape
     cands = np.full(shape + (4, 3), np.nan)
     idx = 0

@@ -140,9 +140,6 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["normal_rmse_deg"] >= 0
 
-    def test_threads_below_one_is_config_error(self):
-        assert cli.main(["--threads", "0", "simulate", "--manifest", "x.json"]) == cli.EXIT_CONFIG
-
     def test_reproduce_passes_both_sizes(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(pipeline, "reproduce",

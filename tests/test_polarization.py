@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from poldefl.polarization import (
     GRAZING_EPS,
     MATERIAL_PRESETS,
-    QUAD_ANGLES,
-    FitError,
     MaterialOpticalProperties,
     dop_dielectric,
     dop_exact,
@@ -17,8 +15,6 @@ from poldefl.polarization import (
     dop_peak,
     fresnel_reflectance,
     invert_dop,
-    resynthesize_channels,
-    sinusoid_fit,
     stokes_from_quad,
 )
 
@@ -71,57 +67,17 @@ class TestStokesFromQuad:
         assert np.isclose(est.i_max, 1.0) and np.isclose(est.i_min, 0.0)
 
     def test_resynthesis_round_trip(self, rng):
-        # consistent quads (i0 + i90 == i45 + i135) reproduce exactly
+        # quads synthesized from (s0, rho, phi) solve back to exactly those
         s0 = rng.uniform(0.5, 2.0, (8, 8))
         rho = rng.uniform(0.0, 1.0, (8, 8))
         phi = rng.uniform(0.0, np.pi, (8, 8))
-        quad = [s0 / 2 + s0 * rho / 2 * np.cos(2 * (a - phi)) for a in QUAD_ANGLES]
+        angles = np.deg2rad([0.0, 45.0, 90.0, 135.0])
+        quad = [s0 / 2 + s0 * rho / 2 * np.cos(2 * (a - phi)) for a in angles]
         est = stokes_from_quad(*quad)
-        for orig, resyn in zip(quad, resynthesize_channels(est)):
-            np.testing.assert_allclose(resyn, orig, atol=1e-12)
-
-
-class TestSinusoidFit:
-    def test_exact_round_trip(self):
-        phi_true = np.radians(30.0)
-        intens = [1.5 + 0.5 * np.cos(2 * (a - phi_true)) for a in QUAD_ANGLES]
-        i_max, i_min, phi, degenerate = sinusoid_fit(QUAD_ANGLES, intens)
-        assert abs(i_max - 2.0) < 1e-9 and abs(i_min - 1.0) < 1e-9
-        assert abs(phi - phi_true) < 1e-9 and not degenerate
-
-    def test_constant_samples_flagged(self):
-        i_max, i_min, _, degenerate = sinusoid_fit(QUAD_ANGLES, [1.0] * 4)
-        assert degenerate and np.isclose(i_max, i_min)
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(FitError):
-            sinusoid_fit([0.0, np.pi / 2], [1.0, 2.0])
-        with pytest.raises(FitError):
-            # only two distinct angles modulo pi
-            sinusoid_fit([0.0, np.pi / 2, np.pi], [1.0, 2.0, 1.0])
-
-    def test_matches_stokes_on_standard_angles(self, rng):
-        for _ in range(20):
-            q = rng.uniform(0.1, 1.0, 4)
-            est = stokes_from_quad(*q)
-            i_max, i_min, phi, _ = sinusoid_fit(QUAD_ANGLES, q)
-            assert abs(i_max - est.i_max) < 1e-9
-            assert abs(i_min - max(est.i_min, 0.0)) < 1e-9
-            if est.dop > 1e-9:
-                assert min(abs(phi - est.aolp), np.pi - abs(phi - est.aolp)) < 1e-9
-
-    def test_noisy_phase_recovery_monte_carlo(self, rng):
-        """sigma = 1% of signal: 95th-percentile phase error below 1 deg."""
-        angles = np.deg2rad(np.arange(0, 180, 22.5))
-        errors = []
-        for _ in range(1000):
-            phi_true = rng.uniform(0, np.pi)
-            clean = 1.0 + 0.4 * np.cos(2 * (angles - phi_true))
-            noisy = clean + rng.normal(0, 0.01, angles.shape)
-            _, _, phi, _ = sinusoid_fit(angles, noisy)
-            d = abs(phi - phi_true)
-            errors.append(min(d, np.pi - d))
-        assert np.degrees(np.percentile(errors, 95)) < 1.0
+        np.testing.assert_allclose(est.s0, s0, atol=1e-12)
+        np.testing.assert_allclose(est.dop, rho, atol=1e-12)
+        d = np.abs(est.aolp - phi)
+        assert np.max(np.minimum(d, np.pi - d)) < 1e-9
 
 
 class TestDopModels:
@@ -218,14 +174,13 @@ class TestInvertDop:
         assert abs(cand.theta_high[0] - t_peak) < 1e-3
 
     def test_saturation_clamp_and_strict(self):
+        # The strict policy is a fusion status rule (test_reconstruct's
+        # test_strict_dop_marks_saturated_invalid); the inverse always clamps.
         t_peak, rho_max = dop_peak(STEEL.m, STEEL.kappa, "eq6")
         rho = np.array([min(1.0, rho_max * 1.5)])
-        clamped = invert_dop(rho, STEEL, clamp_saturated=True)
+        clamped = invert_dop(rho, STEEL)
         assert clamped.saturated[0]
         assert clamped.theta_low[0] == t_peak and clamped.theta_high[0] == t_peak
-        strict = invert_dop(rho, STEEL, clamp_saturated=False)
-        assert strict.saturated[0]
-        assert np.isnan(strict.theta_low[0]) and np.isnan(strict.theta_high[0])
 
     def test_out_of_range_rho_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,12 @@ import pytest
 
 from poldefl import geometry as geo
 from poldefl.codec import CorrespondenceMap
-from poldefl.geometry import WorkingDistanceInterval, bisector_normal, half_angle
+from poldefl.geometry import (
+    WorkingDistanceInterval,
+    bisector_normal,
+    half_angle,
+    half_angle_along_ray,
+)
 from poldefl.metrics import normal_rmse
 from poldefl.pfmio import read_ply
 from poldefl.polarization import (
@@ -13,6 +18,7 @@ from poldefl.polarization import (
     StokesEstimate,
     dop_model,
     dop_peak,
+    invert_dop,
 )
 from poldefl.reconstruct import (
     Status,
@@ -39,7 +45,6 @@ class TestSolveDepth:
     def test_theta_above_bracket_has_no_root(self):
         d = np.array([[0.0, 0, 1]])
         D = np.array([[10.0, 0, 0]])
-        from poldefl.geometry import half_angle_along_ray
         g_min = half_angle_along_ray(np.zeros(3), d, D, np.array([IVAL.s_min]))[0]
         s = solve_depth_for_theta(np.zeros(3), d, D, np.array([g_min + 0.05]), IVAL)
         assert np.isnan(s[0])
@@ -67,11 +72,70 @@ class TestSolveDepth:
             half_angle(S[i], np.zeros(3), D[i]) for i in range(n)
         ])
         usable = theta > 1e-3
-        tol = 1e-3
-        s = solve_depth_for_theta(np.zeros(3), d, D, theta, IVAL, tol_s=tol)
+        s = solve_depth_for_theta(np.zeros(3), d, D, theta, IVAL)
         good = np.isfinite(s) & usable
         assert good.sum() > 400
-        assert np.max(np.abs(s[good] - s_true[good])) < 2 * tol
+        assert np.max(np.abs(s[good] - s_true[good])) < 1e-6
+
+    def test_law_of_sines_analytic_triangles(self, rng):
+        """Triangles built with a known S and a known angle 2*theta at S:
+        D = S + L*(cos(2t)*(-d) + sin(2t)*e) with e a unit normal of d."""
+        n = 200
+        O = rng.uniform(-50.0, 50.0, (n, 3))
+        d = _unit(rng.normal(size=(n, 3)))
+        s_true = rng.uniform(2.0, 95.0, n)
+        theta = rng.uniform(0.05, np.pi / 2 - 0.05, n)
+        D = _triangle_display_point(O, d, s_true, theta, rng.uniform(1.0, 300.0, n), rng)
+        s = solve_depth_for_theta(O, d, D, theta, IVAL)
+        np.testing.assert_allclose(s, s_true, rtol=0, atol=1e-9)
+
+    def test_half_angle_round_trip(self, rng):
+        """g(s) = theta at the returned s, on random feasible geometries."""
+        n = 500
+        d = _unit(rng.normal(size=(n, 3)))
+        D = rng.uniform(-200.0, 200.0, (n, 3))
+        g_near = half_angle_along_ray(np.zeros(3), d, D, np.full(n, IVAL.s_min))
+        g_far = half_angle_along_ray(np.zeros(3), d, D, np.full(n, IVAL.s_max))
+        theta = g_far + rng.uniform(0.0, 1.0, n) * (g_near - g_far)
+        # away from theta = 0 and pi/2, where arccos in g loses precision
+        keep = (theta > 0.02) & (theta < np.pi / 2 - 0.02)
+        assert keep.sum() > 300
+        s = solve_depth_for_theta(np.zeros(3), d[keep], D[keep], theta[keep], IVAL)
+        assert np.all(np.isfinite(s))
+        g = half_angle_along_ray(np.zeros(3), d[keep], D[keep], s)
+        assert np.max(np.abs(g - theta[keep])) < 1e-12
+
+    def test_interval_ends(self, rng):
+        n = 4
+        O = np.zeros((n, 3))
+        d = _unit(rng.normal(size=(n, 3)))
+        s_true = np.array([IVAL.s_min * (1 - 1e-9), IVAL.s_min * (1 + 1e-9),
+                           IVAL.s_max * (1 - 1e-9), IVAL.s_max * (1 + 1e-9)])
+        theta = np.full(n, 0.4)
+        D = _triangle_display_point(O, d, s_true, theta, np.full(n, 30.0), rng)
+        s = solve_depth_for_theta(O, d, D, theta, IVAL)
+        assert np.isnan(s[0]) and np.isnan(s[3])
+        np.testing.assert_allclose(s[1:3], s_true[1:3], rtol=1e-12)
+
+    def test_no_triangle_has_no_root(self):
+        # phi = pi/2 between the ray and OD: a triangle needs 2*theta < pi/2
+        near_zero = WorkingDistanceInterval(1e-9, 100.0)
+        theta = np.array([np.pi / 4 - 1e-3, np.pi / 4, np.pi / 4 + 0.1])
+        s = solve_depth_for_theta(np.zeros(3), np.array([0.0, 0, 1]),
+                                  np.array([10.0, 0, 0]), theta, near_zero)
+        assert np.isfinite(s[0]) and np.isnan(s[1]) and np.isnan(s[2])
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _triangle_display_point(O, d, s, theta, L, rng):
+    """Display point D at distance L from S = O + s*d such that the angle
+    at S between S->O and S->D is exactly 2*theta."""
+    e = _unit(np.cross(d, rng.normal(size=d.shape)))
+    two_t = 2.0 * theta[:, None]
+    return O + s[:, None] * d + L[:, None] * (np.cos(two_t) * -d + np.sin(two_t) * e)
 
 
 class TestFusePixel:
@@ -110,6 +174,42 @@ class TestFusePixel:
         assert r["status"] == Status.NO_ROOT
         assert r["branches"] == {"low": None, "high": None}
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_fuse_map_bit_for_bit(self, strict):
+        from poldefl.manifest import bearing_ball_manifest, scene_from_manifest
+
+        # exact Fresnel: some clamped saturated pixels stay solvable
+        scene = scene_from_manifest(bearing_ball_manifest(size=64, dop_model="exact"))
+        truth = trace(scene)
+        stokes, corr = _truth_stokes_corr(scene, truth)
+        _, rho_max = dop_peak(scene.material.m, scene.material.kappa, scene.dop_model)
+        stokes.dop[truth.mask & (stokes.dop > 0.5 * rho_max)] = min(1.0, rho_max * 1.02)
+        sol, _ = fuse_map(stokes, corr, scene.camera, scene.display, scene.interval,
+                          scene.material, dop_model=scene.dop_model, strict_dop=strict)
+        rays = scene.camera.ray_grid()
+        ij = np.where(truth.mask[..., None], np.stack([corr.i, corr.j], axis=-1), 0.0)
+        D = scene.display.index_to_point(ij)
+        statuses = set()
+        for code in np.unique(sol.status[truth.mask]):
+            ys, xs = np.nonzero(truth.mask & (sol.status == code))
+            for k in np.linspace(0, len(ys) - 1, min(len(ys), 15)).astype(int):
+                y, x = ys[k], xs[k]
+                r = fuse_pixel(stokes.dop[y, x], D[y, x], rays[y, x], scene.camera.center,
+                               scene.interval, scene.material,
+                               dop_model=scene.dop_model, strict_dop=strict)
+                assert r["status"] == sol.status[y, x]
+                statuses.add(Status(r["status"]))
+                if "depth" in r:
+                    assert r["depth"] == sol.depth[y, x]
+                    assert r["theta"] == sol.theta[y, x]
+                    assert np.array_equal(r["point"], sol.points[y, x])
+                    assert np.array_equal(r["normal"], sol.normals[y, x])
+                else:
+                    assert np.isnan(sol.depth[y, x])
+        expected = {Status.OK, Status.INVALID_DECODE} if strict else {
+            Status.OK, Status.NO_ROOT, Status.SATURATED_DOP}
+        assert statuses == expected
+
 
 def _truth_stokes_corr(scene, truth, model=None):
     """Model-matched synthetic inputs straight from the traced ground
@@ -137,17 +237,18 @@ class TestFuseMap:
 
     def test_ambiguity_free_invariant(self, ball_truth):
         """Exact model-matched inputs: every mask pixel solves on exactly
-        one branch, depth within 2*tol_s and normal within 0.02 deg."""
+        one branch, depth within 1e-6 mm and normal within 0.02 deg. The
+        DoP inverse runs to 1e-12 rad: at its default 1e-7 rad the angle
+        alone moves depth by up to about 1e-5 mm."""
         scene, truth = ball_truth
         stokes, corr = _truth_stokes_corr(scene, truth)
-        tol_s = 1e-3
         sol, stats = fuse_map(stokes, corr, scene.camera, scene.display,
                               scene.interval, scene.material,
-                              dop_model=scene.dop_model, tol_s=tol_s)
+                              dop_model=scene.dop_model, tol_theta=1e-12)
         assert stats["counts"]["both_feasible"] == 0
         ok = sol.ok
         assert ok.sum() >= 0.999 * truth.mask.sum()
-        assert np.max(np.abs(sol.depth[ok] - truth.depth[ok])) < 2 * tol_s
+        assert np.max(np.abs(sol.depth[ok] - truth.depth[ok])) < 1e-6
         rmse, pct = normal_rmse(sol.normals, truth.normals, ok)
         assert pct["max"] < 0.02
 
@@ -259,7 +360,7 @@ class TestOrthographicBaseline:
         from poldefl.geometry import PinholeCamera
         cam = PinholeCamera(fx=100.0, fy=100.0, cx=2.0, cy=2.0, width=4, height=4)
         est = self._stokes_single(30.0, 60.0, cam)
-        base = orthographic_baseline(est, STEEL, cam, dop_model="eq6")
+        base = orthographic_baseline(est, invert_dop(est.dop, STEEL, model="eq6"), cam)
         # low-branch, alpha = aolp + pi/2 candidate; camera z flipped toward
         # the camera (the sensor sees front-facing normals)
         expected = np.array([np.sin(np.radians(30)) * np.cos(np.radians(60)),
@@ -320,9 +421,9 @@ class TestExportGeometry:
             nrm[i, j] = v / np.linalg.norm(v)
             status[i, j] = int(Status.OK)
         return SurfaceSolution(
-            depth=depth, t=depth / 10.0, points=pts, normals=nrm,
-            theta=np.where(np.isfinite(depth), 0.4, np.nan),
-            branch=np.where(np.isfinite(depth), 0, -1), status=status,
+            depth=depth, points=pts, normals=nrm,
+            theta=np.where(np.isfinite(depth), 0.4, np.nan), status=status,
+            candidates=invert_dop(np.zeros(shape), STEEL),
         )
 
     def test_three_points_round_trip(self, tmp_path):
