@@ -5,8 +5,8 @@ Two correspondence routes:
 * multi-shot: K-step phase-shifted sinusoids per axis at a unit frequency
   and a high frequency, unwrapped against each other;
 * single-shot: one cross-sinusoid frame demodulated in the Fourier domain
-  (carrier lobes isolated with a raised-cosine bandpass), unwrapped
-  against a stored low-frequency prior.
+  (heterodyned by the phase predicted from a stored low-frequency prior,
+  then lowpassed around DC), unwrapped against that prior.
 
 Display phase convention: a pattern of frequency f on axis u encodes
 phi = 2*pi*f*i/w_d at display pixel column i, so the decoded absolute
@@ -177,142 +177,72 @@ def unwrap_two_frequency(
     return phase_high + 2.0 * np.pi * order, residual <= residual_threshold, residual
 
 
-def _raised_cosine_bandpass(shape, center, bandwidth):
-    """2-D raised-cosine window centred on `center` (cycles/pixel)."""
+# Single-shot decode settings: the margin (pixels) cut from the image
+# border and then eroded from the valid mask to hide transform edge
+# effects, and the lowpass radius (cycles/pixel) that keeps the
+# heterodyned residual phase around DC.
+GUARD = 8
+LOWPASS_BANDWIDTH = 0.02
+
+
+def _raised_cosine_lowpass(shape, bandwidth):
+    """2-D raised-cosine window around DC, radius `bandwidth` (cycles/pixel)."""
     ky = np.fft.fftfreq(shape[0])[:, None]
     kx = np.fft.fftfreq(shape[1])[None, :]
-    # distance on the periodic frequency torus
-    dx = (kx - center[0] + 0.5) % 1.0 - 0.5
-    dy = (ky - center[1] + 0.5) % 1.0 - 0.5
-    r = np.hypot(dx, dy)
-    h = np.where(r < bandwidth, 0.5 * (1.0 + np.cos(np.pi * r / bandwidth)), 0.0)
-    return h
+    r = np.hypot(kx, ky)
+    return np.where(r < bandwidth, 0.5 * (1.0 + np.cos(np.pi * r / bandwidth)), 0.0)
 
 
-def _find_carrier(spectrum, axis: str, min_freq: float):
-    """Peak-magnitude bin in the sector of the half-plane belonging to an
-    axis: dominantly horizontal frequencies for 'u', vertical for 'v'."""
-    ky = np.fft.fftfreq(spectrum.shape[0])[:, None]
-    kx = np.fft.fftfreq(spectrum.shape[1])[None, :]
-    if axis == "u":
-        sector = (kx > min_freq) & (np.abs(ky) <= np.abs(kx))
-    else:
-        sector = (ky > min_freq) & (np.abs(kx) < np.abs(ky))
-    mag = np.where(sector, np.abs(spectrum), 0.0)
-    flat = int(np.argmax(mag))
-    iy, ix = np.unravel_index(flat, spectrum.shape)
-    if mag[iy, ix] == 0.0:
-        raise CodecError(f"no carrier found for axis {axis!r}")
-    return float(kx[0, ix]), float(ky[iy, 0])
+def _erode(mask, iterations: int):
+    """Binary erosion by the 4-neighbour cross; pixels past the border
+    count as False."""
+    for _ in range(iterations):
+        p = np.pad(mask, 1)
+        mask = mask & p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
+    return mask
 
 
 def decode_fourier_single_shot(
     captured,
-    carriers: dict[str, tuple[float, float]] | None = None,
-    bandwidth: float | None = None,
-    guard: int = 8,
+    reference_phase: dict[str, np.ndarray],
     valid_mask=None,
-    min_freq: float = 4.0,
     amplitude_threshold: float = 1e-6,
-    reference_phase: dict[str, np.ndarray] | None = None,
 ):
-    """Takeda-style demodulation of a single cross-sinusoid frame.
+    """Takeda-style demodulation of a single cross-sinusoid frame against
+    a space-variant carrier.
 
-    Two demodulation routes per axis:
+    `reference_phase[axis]` is a per-pixel predicted phase in radians
+    (the scaled low-frequency prior). The frame is heterodyned by
+    exp(-i*reference) so the residual sits near DC, and a raised-cosine
+    lowpass extracts it. This tracks curved surfaces whose instantaneous
+    frequency sweeps too widely for any fixed bandpass.
 
-    * fixed carrier: isolate the carrier lobe with a raised-cosine
-      bandpass around `carriers[axis]` (cycles/pixel; found as the
-      strongest sector peak when absent). bandwidth defaults to half the
-      carrier separation.
-    * reference phase (space-variant carrier): when
-      `reference_phase[axis]` gives a per-pixel predicted phase in
-      radians (e.g. the scaled low-frequency prior), the frame is
-      heterodyned by exp(-i*reference) so the residual sits near DC, and
-      a raised-cosine lowpass (bandwidth, default 0.02 cycles/pixel)
-      extracts it. This tracks curved surfaces whose instantaneous
-      frequency sweeps too widely for any fixed bandpass.
-
-    Returns per-axis dicts with wrapped phase, amplitude and validity; a
-    guard margin plus mask erosion hides transform edge effects.
+    Returns {axis: {"phase", "valid"}} for each axis of reference_phase:
+    wrapped phase in [0, 2*pi), and validity from the mask shrunk by the
+    guard margin and the fringe amplitude.
     """
     img = np.asarray(captured, dtype=np.float64)
-    h, w = img.shape
-    min_cpp = min_freq / max(h, w)  # cycles/image -> cycles/pixel
     if valid_mask is None:
         valid_mask = np.ones_like(img, dtype=bool)
-    reference_phase = reference_phase or {}
     fill = float(np.mean(img[valid_mask])) if np.any(valid_mask) else 0.0
-    work = np.where(valid_mask, img, fill)
-    spectrum = np.fft.fft2(work - np.mean(work))
+    # zero outside the mask: the reference is meaningless there and a
+    # constant fill would alias into the baseband after mixing
+    centred = np.where(valid_mask, img - fill, 0.0)
 
-    found = {}
-    for axis in ("u", "v"):
-        if axis in reference_phase:
-            continue
-        if carriers is not None and axis in carriers:
-            found[axis] = tuple(carriers[axis])
-        else:
-            found[axis] = _find_carrier(spectrum, axis, min_cpp)
-    for axis, (cx, cy) in found.items():
-        if np.hypot(cx, cy) <= min_cpp:
-            raise CodecError(f"carrier for axis {axis!r} overlaps DC")
-    carrier_bandwidth = bandwidth
-    if len(found) == 2:
-        sep = np.hypot(
-            found["u"][0] - found["v"][0], found["u"][1] - found["v"][1]
-        )
-        if carrier_bandwidth is None:
-            carrier_bandwidth = 0.5 * sep
-        if sep < 2.0 * min_cpp:
-            raise CodecError("carrier lobes overlap each other")
-    for axis, (cx, cy) in found.items():
-        if carrier_bandwidth is None:
-            carrier_bandwidth = 0.5 * np.hypot(cx, cy)
-        if carrier_bandwidth > np.hypot(cx, cy):
-            carrier_bandwidth = float(np.hypot(cx, cy)) * 0.95  # keep DC out
-    if found and carrier_bandwidth <= 0:
-        raise CodecError("carrier lobes overlap each other")
-
-    border = np.zeros_like(valid_mask)
-    if guard > 0:
-        border[guard:-guard, guard:-guard] = True
-    else:
-        border[:] = True
-    from scipy.ndimage import binary_erosion
-
-    interior = valid_mask & border
-    if guard > 0:
-        interior = binary_erosion(interior, iterations=guard)
+    interior = np.zeros_like(valid_mask)
+    interior[GUARD:-GUARD, GUARD:-GUARD] = valid_mask[GUARD:-GUARD, GUARD:-GUARD]
+    interior = _erode(interior, GUARD)
+    window = _raised_cosine_lowpass(img.shape, LOWPASS_BANDWIDTH)
 
     out = {}
-    for axis in ("u", "v"):
-        if axis in reference_phase:
-            ref = np.asarray(reference_phase[axis], dtype=np.float64)
-            if ref.shape != img.shape:
-                raise CodecError("reference phase dimensions do not match")
-            # zero outside the mask: the reference is meaningless there and
-            # a constant fill would alias into the baseband after mixing
-            mixed = np.where(valid_mask, img - fill, 0.0) * np.exp(-1j * ref)
-            lp_bw = bandwidth if bandwidth is not None else 0.02
-            window = _raised_cosine_bandpass(img.shape, (0.0, 0.0), lp_bw)
-            analytic = np.fft.ifft2(np.fft.fft2(mixed) * window)
-            phase = np.mod(np.angle(analytic) + ref, 2.0 * np.pi)
-            gyp, gxp = np.gradient(ref)
-            carrier = (
-                float(np.median(gxp[valid_mask])) / (2.0 * np.pi),
-                float(np.median(gyp[valid_mask])) / (2.0 * np.pi),
-            ) if np.any(valid_mask) else (0.0, 0.0)
-        else:
-            window = _raised_cosine_bandpass(img.shape, found[axis], carrier_bandwidth)
-            analytic = np.fft.ifft2(spectrum * window)
-            phase = np.mod(np.angle(analytic), 2.0 * np.pi)
-            carrier = found[axis]
-        amplitude = 2.0 * np.abs(analytic)
+    for axis, ref in reference_phase.items():
+        ref = np.asarray(ref, dtype=np.float64)
+        if ref.shape != img.shape:
+            raise CodecError("reference phase dimensions do not match")
+        analytic = np.fft.ifft2(np.fft.fft2(centred * np.exp(-1j * ref)) * window)
         out[axis] = {
-            "phase": phase,
-            "amplitude": amplitude,
-            "carrier": carrier,
-            "valid": interior & (amplitude > amplitude_threshold),
+            "phase": np.mod(np.angle(analytic) + ref, 2.0 * np.pi),
+            "valid": interior & (2.0 * np.abs(analytic) > amplitude_threshold),
         }
     return out
 

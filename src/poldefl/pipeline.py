@@ -37,13 +37,20 @@ class DataError(ValueError):
     """Missing or inconsistent input data on disk."""
 
 
+# Validity thresholds as fractions of the sensor full scale (auto exposure
+# pins the brightest noiseless sample at 0.95): unlit pixels, and pixels
+# whose fringe amplitude is at the noise floor.
+DARK_THRESHOLD = 0.05
+MODULATION_THRESHOLD = 0.02
+
+
 def _nan_to(a, fill=0.0):
     return np.where(np.isfinite(a), a, fill)
 
 
 def simulate(manifest_doc: dict, out_dir) -> dict:
-    """Render a scene to disk: per-frame channel PFMs, display patterns,
-    the ground-truth set and a render report."""
+    """Render a scene to disk: per-frame channel PFMs with their pattern
+    metadata, the ground-truth set and a render report."""
     scene = scene_from_manifest(manifest_doc)  # validates before any output
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -55,7 +62,6 @@ def simulate(manifest_doc: dict, out_dir) -> dict:
     record.stage("render")
 
     (out / "frames").mkdir(exist_ok=True)
-    (out / "patterns").mkdir(exist_ok=True)
     (out / "truth").mkdir(exist_ok=True)
     index = []
     for k, fr in enumerate(frames):
@@ -64,9 +70,6 @@ def simulate(manifest_doc: dict, out_dir) -> dict:
             rel = f"frames/f{k:03d}_{name}.pfm"
             write_pfm(out / rel, ch)
             files[name] = rel
-        pat_rel = f"patterns/pattern_{k:03d}.pfm"
-        write_pfm(out / pat_rel, fr.pattern.raster)
-        write_sidecar(out / pat_rel, fr.pattern.meta())
         index.append({"index": k, "files": files, "pattern": fr.pattern.meta()})
     (out / "frames" / "frames.json").write_text(json.dumps(index, indent=2))
     record.stage("write_frames")
@@ -87,20 +90,31 @@ def simulate(manifest_doc: dict, out_dir) -> dict:
     return {"out": out, "report": report, "truth": truth, "frames": len(frames)}
 
 
-def _load_frames(in_dir: Path):
+def _load_frames(in_dir: Path, shape: tuple[int, int]):
+    """Read the frame index and its channel rasters, each of the camera's
+    (height, width)."""
     idx_path = in_dir / "frames" / "frames.json"
     if not idx_path.exists():
         raise DataError(f"missing frame index: {idx_path}")
-    index = json.loads(idx_path.read_text())
+    try:
+        index = json.loads(idx_path.read_text())
+        entries = [(dict(e["pattern"]), {n: in_dir / e["files"][n] for n in CHANNEL_NAMES})
+                   for e in index]
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{idx_path}: malformed frame index: {e!r}") from e
+    if not all({"kind", "step"} <= pattern.keys() for pattern, _ in entries):
+        raise DataError(f"{idx_path}: a frame pattern lacks its kind or step")
     frames = []
-    for entry in index:
+    for pattern, paths in entries:
         chans = {}
-        for name, rel in entry["files"].items():
-            p = in_dir / rel
+        for name, p in paths.items():
             if not p.exists():
                 raise DataError(f"missing frame raster: {p}")
             chans[name] = read_pfm(p)
-        frames.append({"pattern": entry["pattern"], "channels": chans})
+            if chans[name].shape != shape:
+                raise DataError(f"{p}: raster shape {chans[name].shape} differs from "
+                                f"the manifest camera {shape}")
+        frames.append({"pattern": pattern, "channels": chans})
     return frames
 
 
@@ -115,7 +129,7 @@ def _group(frames, **match):
     return sorted(sel, key=lambda f: f["pattern"]["step"])
 
 
-def _decode_axis_multishot(frames, axis: str, spec, modulation_threshold) -> tuple:
+def _decode_axis_multishot(frames, axis: str, spec) -> tuple:
     low = _group(frames, kind="phase-shift", axis=axis, frequency=spec.freq_low, role="code")
     high = _group(frames, kind="phase-shift", axis=axis, frequency=spec.freq, role="code")
     if len(low) != spec.steps or len(high) != spec.steps:
@@ -124,33 +138,29 @@ def _decode_axis_multishot(frames, axis: str, spec, modulation_threshold) -> tup
             f"{spec.freq_low} and {spec.freq}, found {len(low)}/{len(high)}"
         )
     ph_low, _, v_low = decode_phase_shift(
-        [_s0(f["channels"]) for f in low], spec.steps,
-        modulation_threshold=modulation_threshold)
+        [_s0(f["channels"]) for f in low], spec.steps, MODULATION_THRESHOLD)
     ph_high, _, v_high = decode_phase_shift(
-        [_s0(f["channels"]) for f in high], spec.steps,
-        modulation_threshold=modulation_threshold)
+        [_s0(f["channels"]) for f in high], spec.steps, MODULATION_THRESHOLD)
     absolute, v_unwrap, residual = unwrap_two_frequency(ph_low, ph_high, spec.freq)
     return absolute, v_low & v_high & v_unwrap, residual
 
 
-def _decode_prior(frames, axis: str, spec, modulation_threshold):
+def _decode_prior(frames, axis: str, spec):
     prior = _group(frames, kind="phase-shift", axis=axis, frequency=spec.freq_low, role="prior")
     if len(prior) != spec.steps:
         raise DataError(f"axis {axis!r}: missing low-frequency prior frames")
     ph, _, valid = decode_phase_shift(
-        [_s0(f["channels"]) for f in prior], spec.steps,
-        modulation_threshold=modulation_threshold)
+        [_s0(f["channels"]) for f in prior], spec.steps, MODULATION_THRESHOLD)
     return ph, valid
 
 
-def _decode_single_shot(frames, spec, guard: int = 8, *,
-                        dark_threshold=0.05, modulation_threshold=0.02):
+def _decode_single_shot(frames, spec):
     cross = [f for f in frames if f["pattern"]["kind"] == "cross-sinusoid"]
     if len(cross) != 1:
         raise DataError("single-shot decode needs exactly one cross-sinusoid frame")
     channels = cross[0]["channels"]
     img = _s0(channels)
-    mask = img > dark_threshold
+    mask = img > DARK_THRESHOLD
 
     # Predict the cross-frame phase per pixel from the low-frequency prior
     # so the Fourier demodulation can follow the surface's space-variant
@@ -158,7 +168,7 @@ def _decode_single_shot(frames, spec, guard: int = 8, *,
     reference = {}
     priors = {}
     for axis, f_c in (("u", spec.f_u), ("v", spec.f_v)):
-        ph_low, v_low = _decode_prior(frames, axis, spec, modulation_threshold)
+        ph_low, v_low = _decode_prior(frames, axis, spec)
         priors[axis] = (ph_low, v_low)
         if not np.any(mask & v_low):
             raise DataError("prior phase has no valid pixels")
@@ -166,8 +176,7 @@ def _decode_single_shot(frames, spec, guard: int = 8, *,
         mask = mask & v_low
 
     demod = decode_fourier_single_shot(
-        img, reference_phase=reference, guard=guard, valid_mask=mask,
-        amplitude_threshold=modulation_threshold)
+        img, reference, valid_mask=mask, amplitude_threshold=MODULATION_THRESHOLD)
     out = {}
     for axis, f_c in (("u", spec.f_u), ("v", spec.f_v)):
         ph_low, v_low = priors[axis]
@@ -180,16 +189,9 @@ def _decode_single_shot(frames, spec, guard: int = 8, *,
 
 def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
                 dop_model: str | None = None,
-                tol_theta: float = 1e-7, guard: int = 8,
-                dark_threshold: float = 0.05, modulation_threshold: float = 0.02,
                 with_baseline: bool = False) -> dict:
     """Decode stacks from a simulate directory and fuse them into a
-    SurfaceSolution on disk. mode: 'multi' | 'single'.
-
-    Validity thresholds are fractions of the sensor full scale (auto
-    exposure pins the brightest noiseless sample at 0.95): dark_threshold
-    rejects unlit pixels, modulation_threshold rejects pixels whose fringe
-    amplitude is at the noise floor."""
+    SurfaceSolution on disk. mode: 'multi' | 'single'."""
     in_dir = Path(in_dir)
     if not (in_dir / "manifest.json").exists():
         raise DataError(f"missing input manifest: {in_dir / 'manifest.json'}")
@@ -204,27 +206,25 @@ def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
     out.mkdir(parents=True, exist_ok=True)
     record = RunRecord("reconstruct", manifest_hash(doc), __version__)
 
-    frames = _load_frames(in_dir)
+    frames = _load_frames(in_dir, (scene.camera.height, scene.camera.width))
     record.stage("load")
 
     if mode == "multi":
         # Average (not sum) so the dark threshold stays in per-frame units.
         total = {n: sum(f["channels"][n] for f in frames) / len(frames)
                  for n in CHANNEL_NAMES}
-        abs_u, val_u, res_u = _decode_axis_multishot(frames, "u", spec, modulation_threshold)
-        abs_v, val_v, res_v = _decode_axis_multishot(frames, "v", spec, modulation_threshold)
+        abs_u, val_u, res_u = _decode_axis_multishot(frames, "u", spec)
+        abs_v, val_v, res_v = _decode_axis_multishot(frames, "v", spec)
         freq_u = freq_v = spec.freq
     else:
-        decoded, cross_channels = _decode_single_shot(
-            frames, spec, guard=guard,
-            dark_threshold=dark_threshold, modulation_threshold=modulation_threshold)
+        decoded, cross_channels = _decode_single_shot(frames, spec)
         total = cross_channels
         abs_u, val_u, res_u = decoded["u"]
         abs_v, val_v, res_v = decoded["v"]
         freq_u, freq_v = spec.f_u, spec.f_v
 
     stokes = stokes_from_quad(*(total[n] for n in CHANNEL_NAMES),
-                              dark_threshold=dark_threshold)
+                              dark_threshold=DARK_THRESHOLD)
     corr = phase_to_display_coords(
         abs_u, abs_v, freq_u, freq_v, scene.display,
         valid=val_u & val_v, residual=np.maximum(res_u, res_v),
@@ -238,7 +238,7 @@ def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
     model = dop_model or scene.dop_model
     solution, stats = fuse_map(
         stokes, corr, scene.camera, scene.display, scene.interval, scene.material,
-        dop_model=model, tol_theta=tol_theta, strict_dop=strict_dop,
+        dop_model=model, strict_dop=strict_dop,
     )
     record.stage("fuse")
 

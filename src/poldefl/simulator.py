@@ -338,10 +338,7 @@ def render_frame(scene: Scene, truth: GroundTruth, pattern: np.ndarray) -> list[
     rs, rp = fresnel_reflectance(theta, scene.material.m, scene.material.kappa)
     total = sample_bilinear(pattern, np.where(np.isfinite(truth.display_ij), truth.display_ij, 0.0))
     total = np.where(truth.mask, total, 0.0) * 0.5 * (rs + rp)
-    if scene.dop_model == "exact":
-        rho = np.where(rs + rp > 0, (rs - rp) / np.where(rs + rp > 0, rs + rp, 1.0), 0.0)
-    else:
-        rho = dop_model(theta, scene.material, scene.dop_model)
+    rho = dop_model(theta, scene.material, scene.dop_model)
     aolp = aolp_of(scene, truth)
     mean = total / 2.0
     amp = total * rho / 2.0

@@ -1,12 +1,21 @@
 """Pattern generation, phase decoding, unwrapping and correspondence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poldefl import pipeline
 from poldefl.codec import (
+    GUARD,
     CodecError,
     PatternSpec,
+    _erode,
     decode_fourier_single_shot,
     decode_phase_shift,
     generate_patterns,
@@ -172,36 +181,61 @@ class TestFourierSingleShot:
 
     def test_flat_identity_recovers_ramp(self):
         img, phi_u, phi_v = self._cross()
-        out = decode_fourier_single_shot(img)
+        n = img.shape[0]
+        x = (np.arange(n) + 0.5) / n
+        xx, yy = np.meshgrid(x, x)
+        # a prior that is off by a smooth, slowly varying phase
+        offset = 0.3 + 0.02 * np.sin(2 * np.pi * xx) * np.cos(2 * np.pi * yy)
+        out = decode_fourier_single_shot(img, {"u": phi_u + offset, "v": phi_v - offset})
         for axis, phi in (("u", phi_u), ("v", phi_v)):
             sel = out[axis]["valid"]
             assert sel.sum() > 1000
             err = _circ_diff(out[axis]["phase"][sel], phi[sel] % (2 * np.pi))
-            assert np.max(np.abs(err)) < 1e-3
+            # the lowpass passes the ripple's (1, 1)-cycle terms at 0.82, so
+            # 18% of its 0.02 rad amplitude stays in the phase
+            assert np.max(np.abs(err)) < 4e-3
 
     def test_missing_v_carrier_flagged_invalid(self):
-        n = 256
-        x = (np.arange(n) + 0.5) / n
-        xx, _ = np.meshgrid(x, x)
-        img = 0.7 + 0.25 * np.cos(2 * np.pi * 32.0 * xx)
+        img, phi_u, phi_v = self._cross()
+        img_u = 0.7 + 0.25 * np.cos(phi_u)
         out = decode_fourier_single_shot(
-            img, carriers={"u": (32.0 / n, 0.0), "v": (0.0, 24.0 / n)},
-            amplitude_threshold=1e-3,
-        )
+            img_u, {"u": phi_u, "v": phi_v}, amplitude_threshold=1e-3)
         assert out["u"]["valid"].sum() > 1000
         assert out["v"]["valid"].sum() == 0
 
-    def test_carrier_overlapping_dc_rejected(self):
-        img, _, _ = self._cross()
+    def test_reference_shape_mismatch_rejected(self):
+        img, phi_u, _ = self._cross(n=64)
         with pytest.raises(CodecError):
-            decode_fourier_single_shot(
-                img, carriers={"u": (0.001, 0.0), "v": (0.0, 24.0 / 256)})
+            decode_fourier_single_shot(img, {"u": phi_u[:, :-1]})
 
-    def test_carriers_overlapping_each_other_rejected(self):
-        img, _, _ = self._cross()
-        with pytest.raises(CodecError):
-            decode_fourier_single_shot(
-                img, carriers={"u": (0.1, 0.0), "v": (0.1 + 1e-4, 0.0)})
+    def test_erosion_matches_scipy(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+
+        # sides from 1 to 3*GUARD: smaller than the 2*GUARD margin, and
+        # masks that touch the border
+        masks = hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                  min_side=1, max_side=3 * GUARD))
+
+        @settings(max_examples=200, deadline=None)
+        @given(mask=masks, iterations=st.integers(1, 9))
+        @example(mask=np.ones((2 * GUARD, 2 * GUARD), bool), iterations=GUARD)
+        def check(mask, iterations):
+            np.testing.assert_array_equal(
+                _erode(mask, iterations), ndimage.binary_erosion(mask, iterations=iterations))
+
+        check()
+
+    def test_codec_needs_no_scipy(self):
+        import poldefl
+
+        code = ("import sys, numpy as np, poldefl.codec as c\n"
+                "z = np.zeros((32, 32))\n"
+                "c.decode_fourier_single_shot(z, reference_phase={'u': z, 'v': z})\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(poldefl.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "[]"
 
 
 class TestPhaseToDisplayCoords:
@@ -264,15 +298,16 @@ class TestEndToEndCorrespondence:
         pipeline.simulate(doc_multi, out)
         from poldefl.manifest import load_manifest, scene_from_manifest
 
-        spec_m = scene_from_manifest(load_manifest(out / "manifest.json")).pattern
-        frames_m = pipeline._load_frames(out)
+        scene_m = scene_from_manifest(load_manifest(out / "manifest.json"))
+        spec_m = scene_m.pattern
+        shape = (scene_m.camera.height, scene_m.camera.width)
+        frames_m = pipeline._load_frames(out, shape)
         spec_s = scene_from_manifest(
             load_manifest(single_sim_dir / "manifest.json")).pattern
-        frames_s = pipeline._load_frames(single_sim_dir)
+        frames_s = pipeline._load_frames(single_sim_dir, shape)
         decoded_s, _ = pipeline._decode_single_shot(frames_s, spec_s)
         for axis, f_single in (("u", spec_s.f_u), ("v", spec_s.f_v)):
-            abs_m, val_m, _ = pipeline._decode_axis_multishot(
-                frames_m, axis, spec_m, 0.02)
+            abs_m, val_m, _ = pipeline._decode_axis_multishot(frames_m, axis, spec_m)
             abs_s, val_s, _ = decoded_s[axis]
             sel = val_m & val_s
             assert sel.sum() > 1000
@@ -289,10 +324,10 @@ class TestEndToEndCorrespondence:
 
         scene = scene_from_manifest(load_manifest(out / "manifest.json"))
         truth = trace(scene)
-        frames = pipeline._load_frames(out)
+        frames = pipeline._load_frames(out, truth.mask.shape)
         spec = scene.pattern
         phi_true = 2 * np.pi * spec.freq * truth.display_ij[..., 0] / scene.display.width
-        absolute, valid, _ = pipeline._decode_axis_multishot(frames, "u", spec, 0.02)
+        absolute, valid, _ = pipeline._decode_axis_multishot(frames, "u", spec)
         sel = valid & truth.mask
         assert sel.sum() > 2000
         correct = np.abs(absolute[sel] - phi_true[sel]) < np.pi

@@ -1,6 +1,7 @@
 """Manifest validation, scene building, CLI exit codes, artifact determinism."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from poldefl.manifest import (
     scene_from_manifest,
     validate_manifest,
 )
+from poldefl.pfmio import write_pfm
 from poldefl.simulator import HeightField, Sphere
 
 SMALL = 96
@@ -120,6 +122,7 @@ class TestCli:
         assert len(frames) == 32
         pfms = list((cli_sim_dir / "frames").glob("*.pfm"))
         assert len(pfms) == 4 * 32
+        assert not (cli_sim_dir / "patterns").exists()
         for name in ("depth.pfm", "normal.pfm", "theta.pfm", "display_ij.pfm", "mask.pfm"):
             assert (cli_sim_dir / "truth" / name).exists()
         record = json.loads((cli_sim_dir / "run_record.json").read_text())
@@ -169,6 +172,32 @@ class TestCli:
                          "--out", str(tmp_path / "s")])
         assert code == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("damage, named", [
+        (lambda run: (run / "frames" / "frames.json").write_text("{"), "frames.json"),
+        (lambda run: _edit_index(run, lambda idx: idx[3].pop("files")), "frames.json"),
+        (lambda run: _edit_index(run, lambda idx: idx[0]["files"].update(I045=7)),
+         "frames.json"),
+        (lambda run: _edit_index(run, lambda idx: idx.insert(0, "f000")), "frames.json"),
+        (lambda run: _edit_index(run, lambda idx: idx[1]["pattern"].pop("step")), "frames.json"),
+        (lambda run: write_pfm(run / "frames" / "f005_I090.pfm", np.zeros((SMALL, SMALL - 1))),
+         "f005_I090.pfm"),
+    ], ids=["truncated-json", "entry-without-files", "file-not-a-path", "entry-not-an-object",
+            "pattern-without-step", "raster-shape"])
+    def test_bad_frame_data_is_data_error(self, cli_sim_dir, tmp_path, capsys, damage, named):
+        run = tmp_path / "run"
+        shutil.copytree(cli_sim_dir, run)
+        damage(run)
+        assert cli.main(["reconstruct", str(run), "--mode", "multi"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and named in err
+
+
+def _edit_index(run: Path, edit):
+    path = run / "frames" / "frames.json"
+    index = json.loads(path.read_text())
+    edit(index)
+    path.write_text(json.dumps(index))
+
 
 def _artifact_digests(root: Path) -> dict:
     import hashlib
@@ -201,6 +230,3 @@ class TestDeterminism:
         assert truth_keys and frame_keys
         assert all(da[k] == db[k] for k in truth_keys)
         assert any(da[k] != db[k] for k in frame_keys)
-        # patterns are seed-independent too
-        pat_keys = [k for k in da if k.startswith("patterns/")]
-        assert all(da[k] == db[k] for k in pat_keys)
