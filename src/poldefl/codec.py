@@ -151,30 +151,22 @@ def decode_phase_shift(captured, steps: int, modulation_threshold: float = 1e-6)
     return phase, modulation, modulation > modulation_threshold
 
 
-def unwrap_two_frequency(
-    phase_low,
-    phase_high,
-    freq_high: float,
-    freq_low: float = 1.0,
-    residual_threshold: float = np.pi / 2,
-):
+def unwrap_two_frequency(phase_low, phase_high, freq_high: float):
     """Temporal unwrap of a high-frequency wrapped phase.
 
-    phase_low must be absolute (freq_low = 1 cycle across the display).
-    Returns (absolute_high, valid, residual); residual is the distance of
-    the fringe-order estimate from an integer, in radians.
+    phase_low must be absolute (one cycle across the display), so
+    freq_high must be a whole number of cycles. Returns (absolute_high,
+    valid, residual); residual is the distance of the fringe-order
+    estimate from an integer, in radians, and valid is residual <= pi/2.
     """
-    if freq_low != 1.0:
-        raise CodecError("phase_low must be the absolute single-cycle phase")
-    ratio = freq_high / freq_low
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise CodecError("freq_high must be an integer multiple of freq_low")
+    if abs(freq_high - round(freq_high)) > 1e-9:
+        raise CodecError("freq_high must be an integer number of cycles")
     phase_low = np.asarray(phase_low, dtype=np.float64)
     phase_high = np.asarray(phase_high, dtype=np.float64)
     order_real = (freq_high * phase_low - phase_high) / (2.0 * np.pi)
     order = np.round(order_real)
     residual = 2.0 * np.pi * np.abs(order_real - order)
-    return phase_high + 2.0 * np.pi * order, residual <= residual_threshold, residual
+    return phase_high + 2.0 * np.pi * order, residual <= np.pi / 2, residual
 
 
 # Single-shot decode settings: the margin (pixels) cut from the image

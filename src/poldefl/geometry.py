@@ -194,12 +194,13 @@ def bisector_normal(S: np.ndarray, C: np.ndarray, D: np.ndarray) -> np.ndarray:
     Specular reflection geometry: the normal halves the angle between the
     reflected ray (towards the camera C) and the incident ray (towards
     the display point D). The result points into the camera half-space.
+    Near-antipodal rays raise: the rounding error grows as 2e-16 / |sum|.
     """
     to_c = normalize(np.asarray(C, dtype=np.float64) - S)
     to_d = normalize(np.asarray(D, dtype=np.float64) - S)
     s = to_c + to_d
     n = norm(s)
-    if np.any(n < 1e-9):
+    if np.any(n < 1e-6):
         raise DegenerateGeometryError("antipodal rays: bisector undefined")
     return s / n[..., None]
 

@@ -41,12 +41,13 @@ def depth_rmse(estimated, truth, mask) -> float:
     return float(np.sqrt(np.mean(d**2, dtype=np.float64)))
 
 
-def fit_sphere(points: np.ndarray, refine_iterations: int = 50):
+def fit_sphere(points: np.ndarray):
     """Least-squares sphere fit: algebraic linear solve, then Gauss-Newton
     refinement of the orthogonal distances.
 
     |p|^2 = 2 p.c + (r^2 - |c|^2) is linear in (c, k); the geometric pass
-    then minimizes sum(|p - c| - r)^2, iterating until the step stalls.
+    then minimizes sum(|p - c| - r)^2, iterating until the step stalls
+    (at most 50 iterations).
     Returns (center, radius, rms_residual).
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -63,7 +64,7 @@ def fit_sphere(points: np.ndarray, refine_iterations: int = 50):
         raise MetricError("sphere fit produced non-positive radius")
     radius = float(np.sqrt(r2))
 
-    for _ in range(refine_iterations):
+    for _ in range(50):
         rel = p - center
         d = np.linalg.norm(rel, axis=1)
         if np.any(d == 0):

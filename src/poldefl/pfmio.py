@@ -81,9 +81,10 @@ def write_ply(path, points: np.ndarray, normals: np.ndarray | None = None):
         ["ply", "format ascii 1.0", f"element vertex {len(points)}", *props, "end_header"]
     )
     body = np.hstack(cols)
-    lines = [" ".join(repr(float(v)) for v in row) for row in body]
+    row = " ".join(["%r"] * body.shape[1]) + "\n"
+    text = (row * len(body)) % tuple(body.ravel().tolist())
     try:
-        path.write_text(header + "\n" + "\n".join(lines) + ("\n" if lines else ""))
+        path.write_text(header + "\n" + text)
     except OSError as e:
         raise IOFormatError(f"{path}: failed to write PLY: {e}") from e
 

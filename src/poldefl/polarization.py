@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 # Grazing cutoff: stay this far below pi/2 so tan(theta) cannot overflow.
 GRAZING_EPS = 1e-4
@@ -106,32 +105,27 @@ def dop_model(theta, mat: MaterialOpticalProperties, model: str | None = None):
 
 @lru_cache(maxsize=32)
 def dop_peak(m: float, kappa: float, model: str) -> tuple[float, float]:
-    """(theta_peak, rho_max) of the unimodal DoP curve on [0, pi/2)."""
+    """(theta_peak, rho_max) of the unimodal DoP curve on [0, pi/2): the
+    sign change of the slope rho(t + h) - rho(t - h), found by bisection."""
     mat = MaterialOpticalProperties(m=m, kappa=kappa)
-    hi = np.pi / 2 - GRAZING_EPS
-    res = minimize_scalar(
-        lambda t: -float(dop_model(t, mat, model)),
-        bounds=(0.0, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x), float(-res.fun)
+    h = 1e-6
+    slope = lambda t: dop_model(t + h, mat, model) - dop_model(t - h, mat, model)
+    theta = float(_bisect_monotone(slope, GRAZING_EPS, np.pi / 2 - GRAZING_EPS, 0.0, 1e-12))
+    return theta, float(dop_model(theta, mat, model))
 
 
 @dataclass
 class StokesEstimate:
     """Per-pixel linear Stokes summary of a four-channel stack.
 
-    dop is clamped to [0, 1]; the raw unclamped value is kept for
-    diagnostics. aolp is in [0, pi). valid marks pixels above the dark
-    threshold.
+    dop is clamped to [0, 1]; aolp is in [0, pi). valid marks pixels
+    above the dark threshold.
     """
 
     s0: np.ndarray
     dop: np.ndarray
     aolp: np.ndarray
     valid: np.ndarray
-    dop_raw: np.ndarray
 
     @property
     def i_max(self):
@@ -161,7 +155,6 @@ def stokes_from_quad(i0, i45, i90, i135, dark_threshold: float = 1e-6) -> Stokes
         dop=np.clip(rho_raw, 0.0, 1.0),
         aolp=phi,
         valid=valid,
-        dop_raw=rho_raw,
     )
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from . import geometry as geo
 from .codec import PatternFrame, PatternSpec, generate_patterns
@@ -73,23 +72,55 @@ class Plane:
 
 HIT_TOL = 1e-9  # |z_ray - f| in scene units at which a ray has hit
 MAX_STEPS = 500  # sphere-tracing iterations before a ray is given up
+_K = np.arange(1.0, 4.0)  # d/du u^k = k u^(k-1) for k = 1..3
+# Power-basis to Bernstein-basis coefficients of a cubic on [0, 1].
+_TO_BERNSTEIN = np.array([[1, 0, 0, 0], [1, 1 / 3, 0, 0], [1, 2 / 3, 1 / 3, 0], [1, 1, 1, 1]])
+
+
+def _not_a_knot(n: int) -> np.ndarray:
+    """(n-1, 4, n) operator from n equally spaced node values to each
+    interval's cubic in u in [0, 1] (power basis, constant first) of the
+    not-a-knot interpolating spline (de Boor 1978)."""
+    # Unknowns m = h^2 f'' at the nodes. Interior rows: f' is continuous;
+    # end rows m0 - 2 m1 + m2 = 0: f''' is continuous at x_1 and x_(n-2).
+    k = np.arange(1, n - 1)
+    lhs, rhs = np.zeros((n, n)), np.zeros((n, n))
+    lhs[k, k - 1], lhs[k, k], lhs[k, k + 1] = 1.0, 4.0, 1.0
+    rhs[k, k - 1], rhs[k, k], rhs[k, k + 1] = 6.0, -12.0, 6.0
+    lhs[0, :3] = lhs[-1, -3:] = (1.0, -2.0, 1.0)
+    m = np.linalg.solve(lhs, rhs)
+    y = np.eye(n)
+    return np.stack([y[:-1], y[1:] - y[:-1] - (2.0 * m[:-1] + m[1:]) / 6.0,
+                     m[:-1] / 2.0, (m[1:] - m[:-1]) / 6.0], axis=1)
+
+
+def _horner(c: np.ndarray, t) -> np.ndarray:
+    """Polynomial with coefficients on c's last axis (constant first) at t."""
+    out = c[..., -1]
+    for k in range(c.shape[-1] - 2, -1, -1):
+        out = out * t + c[..., k]
+    return out
 
 
 @dataclass(frozen=True)
 class HeightField:
     """z = f(x, y) over a rectangle, bicubic-interpolated from a grid.
 
+    f is the tensor-product not-a-knot cubic spline through the grid, held
+    as one patch per cell: f = sum_pq patches[j, i, p, q] v^p u^q on cell
+    (j, i), with u = (x - x_i) / dx and v = (y - y_j) / dy in [0, 1].
+
     Intersection is sphere tracing (Hart 1996) of g(t) = z_ray(t) - f along
-    each ray. The interpolant is a bicubic B-spline, and its x- and
-    y-derivatives are B-splines whose coefficients are the scaled
-    differences 3 * dc / dknot of its own coefficients. B-spline bases are
-    nonnegative and sum to one, so the largest absolute derivative
-    coefficient bounds |df/dx| (and |df/dy|) everywhere on the grid. Hence
+    each ray. A patch lies in the convex hull of its Bernstein coefficients,
+    and so does its x-derivative, whose coefficients are 3 / dx times their
+    differences along u, so the largest of those bounds |df/dx| (and
+    likewise |df/dy|) on the whole grid; the node values do not, since the
+    spline overshoots between nodes. Hence
     |g'(t)| <= |d_z| + Lx |d_x| + Ly |d_y|, and the step |g| / that rate
     can never pass the first root, whichever side of the two-sided sheet
     the ray starts on. Each ray starts at its entry into the bounding box
-    (whose z-range is the coefficients' range, which by the same argument
-    holds the whole sheet) and leaves the working set as soon as
+    (whose z-range is the Bernstein coefficients' range, which by the same
+    argument holds the whole sheet) and leaves the working set as soon as
     |g| <= HIT_TOL, g changes sign (a rounding overshoot of the root), or
     it leaves the box. Rays still active after MAX_STEPS iterations are
     returned as misses, never as hits at an unconverged t.
@@ -108,32 +139,54 @@ class HeightField:
             raise ValueError("heightfield grid must be >= 4x4 and finite")
 
     @cached_property
-    def spline(self) -> RectBivariateSpline:
+    def patches(self) -> np.ndarray:
+        """(ny-1, nx-1, 4, 4) power-basis coefficients, see the class doc."""
+        ops = [_not_a_knot(n) for n in self.z_grid.shape]
+        return np.ascontiguousarray(np.einsum("jpb,iqa,ba->jipq", *ops, self.z_grid, optimize=True))
+
+    @cached_property
+    def bernstein(self) -> np.ndarray:
+        """The patches' coefficients in the Bernstein basis."""
+        return _TO_BERNSTEIN @ self.patches @ _TO_BERNSTEIN.T
+
+    def _locate(self, x, y):
+        """Each point's patch, (p, q) swapped so Horner's rule in v reads
+        contiguous rows, and its (u, v); off the grid the edge cell's."""
         ny, nx = self.z_grid.shape
-        xs = self.x0 + self.dx * np.arange(nx)
-        ys = self.y0 + self.dy * np.arange(ny)
-        return RectBivariateSpline(ys, xs, self.z_grid, kx=3, ky=3)
+        u = (np.asarray(x, dtype=np.float64) - self.x0) / self.dx
+        v = (np.asarray(y, dtype=np.float64) - self.y0) / self.dy
+        i = np.clip(np.floor(u), 0, nx - 2).astype(np.intp)
+        j = np.clip(np.floor(v), 0, ny - 2).astype(np.intp)
+        c = np.take(self.patches.reshape(-1, 4, 4), j * (nx - 1) + i, axis=0)
+        return np.swapaxes(c, -1, -2), u - i, v - j
+
+    def height(self, x, y) -> np.ndarray:
+        """f at the points."""
+        c, u, v = self._locate(x, y)
+        return _horner(_horner(c, v[..., None]), u)
+
+    def gradient(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(df/dx, df/dy) at the points."""
+        c, u, v = self._locate(x, y)
+        fu = _horner(_horner(c, v[..., None])[..., 1:] * _K, u)
+        fv = _horner(_horner(c[..., 1:] * _K, v[..., None]), u)
+        return fu / self.dx, fv / self.dy
 
     def slope_bounds(self) -> tuple[float, float]:
-        """Sound bounds (Lx, Ly) on |df/dx| and |df/dy| over the grid,
-        from the coefficients of the spline's derivative B-splines."""
-        ty, tx, c = self.spline.tck
-        ky, kx = self.spline.degrees
-        c = c.reshape(len(ty) - ky - 1, len(tx) - kx - 1)
-        dcy = ky * np.diff(c, axis=0) / (ty[ky + 1:-1] - ty[1:-ky - 1])[:, None]
-        dcx = kx * np.diff(c, axis=1) / (tx[kx + 1:-1] - tx[1:-kx - 1])
-        return float(np.max(np.abs(dcx))), float(np.max(np.abs(dcy)))
+        """Sound bounds (Lx, Ly) on |df/dx| and |df/dy| over the grid, from
+        the Bernstein coefficients of the derivative patches."""
+        b = self.bernstein
+        return (3.0 * float(np.max(np.abs(np.diff(b, axis=-1)))) / self.dx,
+                3.0 * float(np.max(np.abs(np.diff(b, axis=-2)))) / self.dy)
 
-    def first_hit(self, origin, dirs, t_max: float = 1e4):
+    def first_hit(self, origin, dirs):
         """Ray parameter of each ray's first hit (nan on a miss), and the
         mask of rays given up as misses at MAX_STEPS."""
         lx, ly = self.slope_bounds()
         ny, nx = self.z_grid.shape
-        coef = self.spline.get_coeffs()
-        lo = np.array([self.x0, self.y0, float(np.min(coef))])
-        hi = np.array([self.x0 + self.dx * (nx - 1),
-                       self.y0 + self.dy * (ny - 1),
-                       float(np.max(coef))])
+        b = self.bernstein
+        lo = np.array([self.x0, self.y0, b.min()])
+        hi = np.array([self.x0 + self.dx * (nx - 1), self.y0 + self.dy * (ny - 1), b.max()])
 
         d = dirs.reshape(-1, 3)
         o = np.broadcast_to(origin, dirs.shape).reshape(-1, 3)
@@ -141,8 +194,8 @@ class HeightField:
         with np.errstate(divide="ignore", invalid="ignore"):
             ta = (lo - o) / d
             tb = (hi - o) / d
-        t = np.clip(np.max(np.minimum(ta, tb), axis=-1), 1e-6, t_max)
-        t_far = np.minimum(np.min(np.maximum(ta, tb), axis=-1), t_max)
+        t = np.maximum(np.max(np.minimum(ta, tb), axis=-1), 1e-6)
+        t_far = np.min(np.maximum(ta, tb), axis=-1)
         rate = np.abs(d[:, 2]) + lx * np.abs(d[:, 0]) + ly * np.abs(d[:, 1])
         hit = np.zeros(t.shape, dtype=bool)
 
@@ -152,8 +205,8 @@ class HeightField:
             if active.size == 0:
                 break
             p = o[active] + t[active, None] * d[active]
-            g = p[:, 2] - self.spline(np.clip(p[:, 1], lo[1], hi[1]),
-                                      np.clip(p[:, 0], lo[0], hi[0]), grid=False)
+            g = p[:, 2] - self.height(np.clip(p[:, 0], lo[0], hi[0]),
+                                      np.clip(p[:, 1], lo[1], hi[1]))
             if side is None:
                 side = np.sign(g)
             done = (np.abs(g) <= HIT_TOL) | (np.sign(g) != side)
@@ -167,17 +220,15 @@ class HeightField:
         shape = dirs.shape[:-1]
         return np.where(hit, t, np.nan).reshape(shape), capped.reshape(shape)
 
-    def intersect(self, origin, dirs, t_max: float = 1e4):
-        t, _ = self.first_hit(origin, dirs, t_max)
+    def intersect(self, origin, dirs):
+        t, _ = self.first_hit(origin, dirs)
         points = origin + t[..., None] * dirs
-        x, y = points[..., 0], points[..., 1]
-        gx = self.spline(y, x, dx=0, dy=1, grid=False)
-        gy = self.spline(y, x, dx=1, dy=0, grid=False)
-        normals = np.stack([-gx, -gy, np.ones_like(gx)], axis=-1)
-        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        hit = np.isfinite(t)
+        gx, gy = self.gradient(points[hit, 0], points[hit, 1])
+        n = geo.normalize(np.stack([-gx, -gy, np.ones_like(gx)], axis=-1))
+        normals = np.full(points.shape, np.nan)
         # two-sided sheet: orient toward the viewer
-        toward = geo.dot(normals, dirs) > 0
-        normals = np.where(toward[..., None], -normals, normals)
+        normals[hit] = np.where((geo.dot(n, dirs[hit]) > 0)[:, None], -n, n)
         return t, points, normals
 
 

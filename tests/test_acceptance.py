@@ -236,7 +236,7 @@ class TestCriterion6DegeneracyHandling:
                       0.0, 1.0)
         stokes = StokesEstimate(
             s0=np.where(truth.mask, 1.0, 0.0), dop=rho, aolp=aolp_of(scene, truth),
-            valid=truth.mask.copy(), dop_raw=rho,
+            valid=truth.mask.copy(),
         )
         ij = np.where(np.isfinite(truth.display_ij), truth.display_ij, 0.0)
         corr = CorrespondenceMap(i=ij[..., 0], j=ij[..., 1], valid=truth.mask.copy())

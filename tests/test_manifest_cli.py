@@ -1,12 +1,16 @@
 """Manifest validation, scene building, CLI exit codes, artifact determinism."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poldefl
 from poldefl import cli, pipeline
 from poldefl.manifest import (
     ManifestError,
@@ -206,6 +210,24 @@ def _artifact_digests(root: Path) -> dict:
         if p.is_file() and "run_record" not in p.name:
             out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+    def test_package_needs_no_scipy(self):
+        """The CLI, a heightfield trace, a single-shot decode and the DoP
+        peak of every model run on numpy alone: no scipy module loads."""
+        code = ("import sys, numpy as np\n"
+                "import poldefl.cli\n"
+                "from poldefl import codec, manifest, polarization, simulator\n"
+                "doc = manifest.qualitative_heightfield_manifest('horse', size=32)\n"
+                "assert simulator.trace(manifest.scene_from_manifest(doc)).mask.any()\n"
+                "z = np.zeros((32, 32))\n"
+                "codec.decode_fourier_single_shot(z, reference_phase={'u': z, 'v': z})\n"
+                "polarization.dop_peak(2.76, 3.79, 'exact')\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(poldefl.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "[]"
 
 
 class TestDeterminism:

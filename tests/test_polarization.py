@@ -122,6 +122,28 @@ class TestDopModels:
             assert abs(t_peak - theta[k]) < 1e-4
             assert abs(rho_max - rho[k]) < 1e-8
 
+    @pytest.mark.parametrize("mat", [GLASS, MaterialOpticalProperties(m=1.33), STEEL, CHROME])
+    def test_peak_matches_closed_forms(self, mat):
+        """Brewster's angle arctan(m) for eq5; for eq6 the peak solves
+        cos(t) = (sqrt(x^2 + 4) - x) / 2 with x = m sqrt(1 + kappa^2)."""
+        if mat.is_dielectric:
+            t_peak, rho_max = dop_peak(mat.m, mat.kappa, "eq5")
+            assert abs(t_peak - np.arctan(mat.m)) < 1e-10
+            assert abs(rho_max - 1.0) < 1e-12
+        x = mat.m * np.sqrt(1.0 + mat.kappa**2)
+        t_peak, _ = dop_peak(mat.m, mat.kappa, "eq6")
+        assert abs(t_peak - np.arccos((np.sqrt(x * x + 4.0) - x) / 2.0)) < 1e-10
+
+    @pytest.mark.parametrize("mat", [GLASS, STEEL, CHROME])
+    def test_exact_peak_matches_scipy_bounded_search(self, mat):
+        optimize = pytest.importorskip("scipy.optimize")
+        res = optimize.minimize_scalar(
+            lambda t: -float(dop_model(t, mat, "exact")), bounds=(0.0, np.pi / 2 - GRAZING_EPS),
+            method="bounded", options={"xatol": 1e-12})
+        t_peak, rho_max = dop_peak(mat.m, mat.kappa, "exact")
+        assert abs(t_peak - res.x) < 1e-8
+        assert abs(rho_max + res.fun) < 1e-12
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             dop_model(0.5, STEEL, "nope")

@@ -222,7 +222,6 @@ def _truth_stokes_corr(scene, truth, model=None):
         dop=np.clip(rho, 0.0, 1.0),
         aolp=aolp_of(scene, truth),
         valid=truth.mask.copy(),
-        dop_raw=rho,
     )
     ij = np.where(np.isfinite(truth.display_ij), truth.display_ij, 0.0)
     corr = CorrespondenceMap(i=ij[..., 0], j=ij[..., 1], valid=truth.mask.copy())
@@ -353,7 +352,6 @@ class TestOrthographicBaseline:
         return StokesEstimate(
             s0=np.ones(shape), dop=np.full(shape, rho),
             aolp=np.full(shape, aolp), valid=np.ones(shape, dtype=bool),
-            dop_raw=np.full(shape, rho),
         )
 
     def test_direct_formula_candidate(self):

@@ -45,6 +45,15 @@ def _horse(n):
     return scene_from_manifest(qualitative_heightfield_manifest("horse", size=n))
 
 
+def _ridge():
+    """A 5x81 sheet, constant along y: a ridge thinner than a grid cell at
+    x = 0, a deep valley at x = 4 and a far wall at x = 10."""
+    xs = np.linspace(-10.0, 10.0, 81)
+    h = (np.exp(-xs**2 / 0.5) - 3.0 * np.exp(-((xs - 4.0) / 2.0) ** 2)
+         + 3.0 * np.exp(-((xs - 10.0) / 1.5) ** 2))
+    return HeightField(x0=-10.0, y0=-2.0, dx=0.25, dy=1.0, z_grid=np.tile(h, (5, 1)))
+
+
 def _coplanar_display():
     return DisplayPlane(origin=np.array([-50.0, -50.0, 0.0]), u=np.array([1.0, 0, 0]),
                         v=np.array([0, 1.0, 0]), pitch=1.0, width=100, height=100)
@@ -193,26 +202,47 @@ class TestSurfaces:
         """A level ray clips the top of a ridge thinner than a grid cell,
         then crosses a deep valley and meets a far wall: the ridge is the
         hit."""
-        xs = np.linspace(-10.0, 10.0, 81)
-        h = (np.exp(-xs**2 / 0.5) - 3.0 * np.exp(-((xs - 4.0) / 2.0) ** 2)
-             + 3.0 * np.exp(-((xs - 10.0) / 1.5) ** 2))
-        hf = HeightField(x0=-10.0, y0=-2.0, dx=0.25, dy=1.0, z_grid=np.tile(h, (5, 1)))
-        z0 = h[40] - 0.01  # 10 um below the ridge's crest
+        hf = _ridge()
+        z0 = hf.z_grid[0, 40] - 0.01  # 10 um below the ridge's crest
         t, p, _ = hf.intersect(np.array([-10.0, 0.0, z0]), np.array([[1.0, 0.0, 0.0]]))
         assert -0.25 < p[0, 0] < 0.0
-        assert abs(z0 - hf.spline(0.0, p[0, 0], grid=False)) <= 1e-8
+        assert abs(z0 - hf.height(p[0, 0], 0.0)) <= 1e-8
         before = np.linspace(-10.0, p[0, 0], 20001)[:-1]
-        assert np.all(z0 - hf.spline(0.0, before, grid=False) > 0.0)
+        assert np.all(z0 - hf.height(before, 0.0) > 0.0)
 
     def test_heightfield_slope_bound_is_sound(self):
+        """The slope bounds and the bounding box's z-range (the Bernstein
+        hull) hold every sampled gradient and height, and are not loose."""
         hf = _horse(96).surface
         lx, ly = hf.slope_bounds()
         rng = np.random.default_rng(0)
         x, y = rng.uniform(-14.0, 14.0, (2, 200_000))
-        gx = np.max(np.abs(hf.spline(y, x, dy=1, grid=False)))
-        gy = np.max(np.abs(hf.spline(y, x, dx=1, grid=False)))
+        gx, gy = (np.max(np.abs(g)) for g in hf.gradient(x, y))
         assert gx <= lx <= 1.25 * gx
         assert gy <= ly <= 1.25 * gy
+        z = hf.height(x, y)
+        assert hf.bernstein.min() <= z.min() and z.max() <= hf.bernstein.max()
+
+    @pytest.mark.parametrize("grid", ["4x4", "ridge-5x81", "horse"])
+    def test_heightfield_patches_match_scipy_spline(self, grid):
+        """Values and gradients of the patches equal FITPACK's
+        interpolating bicubic spline (s = 0, which is not-a-knot)."""
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(1)
+        hf = {
+            "4x4": lambda: HeightField(0.5, -1.0, 0.7, 1.3, rng.normal(size=(4, 4))),
+            "ridge-5x81": _ridge,
+            "horse": lambda: _horse(96).surface,
+        }[grid]()
+        ny, nx = hf.z_grid.shape
+        xs, ys = hf.x0 + hf.dx * np.arange(nx), hf.y0 + hf.dy * np.arange(ny)
+        ref = interpolate.RectBivariateSpline(ys, xs, hf.z_grid, kx=3, ky=3)
+        x = rng.uniform(xs[0], xs[-1], 200_000)
+        y = rng.uniform(ys[0], ys[-1], 200_000)
+        gx, gy = hf.gradient(x, y)
+        np.testing.assert_allclose(hf.height(x, y), ref(y, x, grid=False), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(gx, ref(y, x, dy=1, grid=False), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(gy, ref(y, x, dx=1, grid=False), rtol=0, atol=1e-11)
 
     def test_heightfield_no_ray_reaches_step_cap(self):
         scene = _horse(96)
@@ -229,7 +259,7 @@ class TestSurfaces:
         assert np.all(np.isnan(t[capped]))
         p = scene.camera.center + t[..., None] * rays
         sel = np.isfinite(t)
-        g = p[sel, 2] - scene.surface.spline(p[sel, 1], p[sel, 0], grid=False)
+        g = p[sel, 2] - scene.surface.height(p[sel, 0], p[sel, 1])
         assert sel.sum() > 100 and np.max(np.abs(g)) <= 1e-8
 
     def test_heightfield_validation(self):
