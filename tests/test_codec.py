@@ -1,5 +1,10 @@
 """Pattern generation, phase decoding, unwrapping and correspondence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -217,6 +222,18 @@ class TestFourierSingleShot:
                 _erode(mask, iterations), ndimage.binary_erosion(mask, iterations=iterations))
 
         check()
+
+    def test_codec_needs_no_scipy(self):
+        import poldefl
+
+        code = ("import sys, numpy as np, poldefl.codec as c\n"
+                "z = np.zeros((32, 32))\n"
+                "c.decode_fourier_single_shot(z, reference_phase={'u': z, 'v': z})\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(poldefl.__file__).parents[1])}
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "[]"
 
 
 class TestPhaseToDisplayCoords:

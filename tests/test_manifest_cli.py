@@ -195,23 +195,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and named in err
 
-
-def _edit_index(run: Path, edit):
-    path = run / "frames" / "frames.json"
-    index = json.loads(path.read_text())
-    edit(index)
-    path.write_text(json.dumps(index))
-
-
-def _artifact_digests(root: Path) -> dict:
-    import hashlib
-    out = {}
-    for p in sorted(root.rglob("*")):
-        if p.is_file() and "run_record" not in p.name:
-            out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
-    return out
-
-
     def test_package_needs_no_scipy(self):
         """The CLI, a heightfield trace, a single-shot decode and the DoP
         peak of every model run on numpy alone: no scipy module loads."""
@@ -228,6 +211,22 @@ def _artifact_digests(root: Path) -> dict:
         res = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert res.stdout.strip() == "[]"
+
+
+def _edit_index(run: Path, edit):
+    path = run / "frames" / "frames.json"
+    index = json.loads(path.read_text())
+    edit(index)
+    path.write_text(json.dumps(index))
+
+
+def _artifact_digests(root: Path) -> dict:
+    import hashlib
+    out = {}
+    for p in sorted(root.rglob("*")):
+        if p.is_file() and "run_record" not in p.name:
+            out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
+    return out
 
 
 class TestDeterminism:
