@@ -26,12 +26,15 @@ class CodecError(ValueError):
     """Invalid pattern spec or decode configuration."""
 
 
+FREQ_LOW = 1.0  # one cycle: the low-frequency phase is absolute as decoded
+
+
 @dataclass(frozen=True)
 class PatternSpec:
     """Display pattern parameters.
 
     kind 'phase-shift': K-step sinusoids on the listed axes, one set at
-    freq_low (absolute reference) and one at freq cycles across the
+    FREQ_LOW (absolute reference) and one at freq cycles across the
     display extent. kind 'cross-sinusoid': a single frame summing a
     horizontal and a vertical carrier at (f_u, f_v) cycles.
     """
@@ -40,7 +43,6 @@ class PatternSpec:
     axes: tuple[str, ...] = ("u", "v")
     steps: int = 4
     freq: float = 16.0
-    freq_low: float = 1.0
     f_u: float = 32.0
     f_v: float = 32.0
     mean: float = 0.7
@@ -51,7 +53,7 @@ class PatternSpec:
             raise CodecError(f"unknown pattern kind {self.kind!r}")
         if self.steps < 3:
             raise CodecError("phase shifting needs K >= 3 steps")
-        if min(self.freq, self.freq_low, self.f_u, self.f_v) <= 0:
+        if min(self.freq, self.f_u, self.f_v) <= 0:
             raise CodecError("frequencies must be positive")
         if not (0.0 <= self.mean - self.depth and self.mean + self.depth <= 1.0):
             raise CodecError("mean +/- depth must stay within [0, 1]")
@@ -104,7 +106,7 @@ def generate_patterns(spec: PatternSpec, disp: DisplayPlane) -> list[PatternFram
     frames: list[PatternFrame] = []
     if spec.kind == "phase-shift":
         for axis in spec.axes:
-            for freq in (spec.freq_low, spec.freq):
+            for freq in (FREQ_LOW, spec.freq):
                 phase = _axis_phase(disp, axis, freq)
                 for k in range(spec.steps):
                     delta = 2.0 * np.pi * k / spec.steps
@@ -116,13 +118,13 @@ def generate_patterns(spec: PatternSpec, disp: DisplayPlane) -> list[PatternFram
 
     # Single-shot: low-frequency prior frames, then the cross-sinusoid.
     for axis in spec.axes:
-        phase = _axis_phase(disp, axis, spec.freq_low)
+        phase = _axis_phase(disp, axis, FREQ_LOW)
         for k in range(spec.steps):
             delta = 2.0 * np.pi * k / spec.steps
             raster = spec.mean + spec.depth * np.cos(phase - delta)
             frames.append(
                 PatternFrame(
-                    raster, "phase-shift", axis, spec.freq_low, k, spec.steps, role="prior"
+                    raster, "phase-shift", axis, FREQ_LOW, k, spec.steps, role="prior"
                 )
             )
     cross = spec.mean + spec.depth * 0.5 * (

@@ -20,10 +20,6 @@ class DegenerateGeometryError(GeometryError):
     """Construction is undefined (coincident points, antipodal rays)."""
 
 
-def vec3(x, y, z) -> np.ndarray:
-    return np.array([x, y, z], dtype=np.float64)
-
-
 def norm(v: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v, axis=-1)
 

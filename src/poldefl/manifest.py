@@ -1,6 +1,7 @@
 """Scene manifests: the single JSON document describing a simulated
 measurement (camera, display, working interval, surface, material,
-pattern, noise, render options), schema-validated before any run.
+pattern, noise, render options), parsed into a Scene before any run by
+`validate_manifest`, against one field table per block.
 
 The default bearing-ball scene is an invented desk-scale stand-in for the
 physical rig: the display hangs above the camera facing down at the ball,
@@ -12,12 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .codec import PatternSpec
 from .geometry import DisplayPlane, PinholeCamera, WorkingDistanceInterval
@@ -26,211 +27,220 @@ from .simulator import HeightField, NoiseModel, Plane, Scene, Sphere
 
 
 class ManifestError(ValueError):
-    """Schema violation or inconsistent manifest content."""
+    """A manifest field is missing, malformed or inconsistent."""
 
 
-_VEC3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
+# Readers: each takes a JSON value and its path, and returns the parsed
+# value or raises ManifestError naming the path.
+def _number(value, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ManifestError(f"{path}: must be a number")
+    # NaN fails both comparisons; so do +-inf and integers past the float range
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ManifestError(f"{path}: must be finite")
+    return float(value)
 
-SCENE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["camera", "display", "working_distance", "surface", "material"],
-    "additionalProperties": False,
-    "properties": {
-        "comment": {"type": "string"},
-        "units": {"type": "string"},
-        "camera": {
-            "type": "object",
-            "required": ["fx", "fy", "cx", "cy", "width", "height"],
-            "additionalProperties": False,
-            "properties": {
-                "fx": {"type": "number", "exclusiveMinimum": 0},
-                "fy": {"type": "number", "exclusiveMinimum": 0},
-                "cx": {"type": "number"},
-                "cy": {"type": "number"},
-                "width": {"type": "integer", "minimum": 1},
-                "height": {"type": "integer", "minimum": 1},
-                "rotation": {"type": "array", "items": _VEC3, "minItems": 3, "maxItems": 3},
-                "translation": _VEC3,
-            },
-        },
-        "display": {
-            "type": "object",
-            "required": ["origin", "u", "v", "pitch", "width", "height"],
-            "additionalProperties": False,
-            "properties": {
-                "origin": _VEC3,
-                "u": _VEC3,
-                "v": _VEC3,
-                "pitch": {"type": "number", "exclusiveMinimum": 0},
-                "width": {"type": "integer", "minimum": 1},
-                "height": {"type": "integer", "minimum": 1},
-            },
-        },
-        "working_distance": {
-            "type": "object",
-            "required": ["s_min", "s_max"],
-            "additionalProperties": False,
-            "properties": {
-                "s_min": {"type": "number", "exclusiveMinimum": 0},
-                "s_max": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "surface": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"enum": ["sphere", "plane", "heightfield"]}},
-        },
-        "material": {
-            "oneOf": [
-                {"type": "string"},
-                {
-                    "type": "object",
-                    "required": ["m"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "m": {"type": "number", "exclusiveMinimum": 1},
-                        "kappa": {"type": "number", "minimum": 0},
-                    },
-                },
-            ]
-        },
-        "pattern": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["phase-shift", "cross-sinusoid"]},
-                "axes": {"type": "array", "items": {"enum": ["u", "v"]}},
-                "steps": {"type": "integer", "minimum": 3},
-                "freq": {"type": "number", "exclusiveMinimum": 0},
-                "freq_low": {"type": "number", "exclusiveMinimum": 0},
-                "f_u": {"type": "number", "exclusiveMinimum": 0},
-                "f_v": {"type": "number", "exclusiveMinimum": 0},
-                "mean": {"type": "number"},
-                "depth": {"type": "number"},
-            },
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma": {"type": "number", "minimum": 0},
-                "photon": {"type": "boolean"},
-                "bits": {"enum": [0, 8, 10, 12, 16]},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "render": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dop_model": {"enum": ["eq5", "eq6", "exact"]},
-                "auto_expose": {"type": "boolean"},
-                "exposure_headroom": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "output_dir": {"type": "string"},
-    },
+
+def _integer(value, path) -> int:
+    # numpy takes integers (the noise seed among them) as int64
+    if not _number(value, path).is_integer() or abs(value) >= 2**63:
+        raise ManifestError(f"{path}: must be an integer of at most 63 bits")
+    return int(value)
+
+
+def _is(kind, noun):
+    def read(value, path):
+        if not isinstance(value, kind):
+            raise ManifestError(f"{path}: must be {noun}")
+        return value
+    return read
+
+
+def _one_of(*options):
+    def read(value, path):
+        # JSON's true and false are not 1 and 0; 8.0 reads as the option 8
+        if isinstance(value, bool) or value not in options:
+            raise ManifestError(f"{path}: must be one of {list(options)}")
+        return options[options.index(value)]
+    return read
+
+
+def _array(*shape):
+    """Reader of nested lists of finite numbers; a None length is any >= 1."""
+    def read(value, path):
+        n = shape[0]
+        if not isinstance(value, list) or not value or n not in (None, len(value)):
+            raise ManifestError(f"{path}: must be a list of {n or 'one or more'} items")
+        item = _array(*shape[1:]) if len(shape) > 1 else _number
+        rows = [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
+        if len({np.shape(row) for row in rows}) > 1:
+            raise ManifestError(f"{path}: rows must all have the same length")
+        return np.array(rows)
+    return read
+
+
+_bool, _string, _object = _is(bool, "true or false"), _is(str, "a string"), _is(dict, "an object")
+_vec3, _matrix3, _grid = _array(3), _array(3, 3), _array(None, None)
+
+
+def _axes(value, path) -> tuple:
+    axis = _one_of("u", "v")
+    return tuple(axis(a, f"{path}[{i}]") for i, a in enumerate(_is(list, "a list")(value, path)))
+
+
+def _fields(doc, table: dict, path: str) -> dict:
+    """Read a JSON object against a field table: the parsed value of each
+    field present, keyed by name."""
+    for key in _object(doc, path):
+        if key not in table:
+            raise ManifestError(f"{path}.{key}: unknown key")
+    out = {}
+    for name, (read, required, bound) in table.items():
+        where = f"{path}.{name}"
+        if name in doc:
+            value = out[name] = read(doc[name], where)
+            if bound and not (value > bound[1] if bound[0] == ">" else value >= bound[1]):
+                raise ManifestError(f"{where}: must be {bound[0]} {bound[1]}")
+        elif required:
+            raise ManifestError(f"{where}: required")
+    return out
+
+
+def _block(cls, table: dict):
+    """Reader of a block that builds cls from its fields. A cross-field
+    rule that the constructor enforces is re-raised at the block's path."""
+    def read(doc, path):
+        kwargs = _fields(doc, table, path)
+        try:
+            return cls(**kwargs)
+        except ValueError as e:
+            raise ManifestError(f"{path}: {e}") from None
+    return read
+
+
+# Field tables, one per block: name -> (reader, required, bound), where
+# bound is (">", x) or (">=", x) on a number. An absent optional field
+# takes the default of the dataclass that its block builds.
+CAMERA = {
+    "fx": (_number, True, (">", 0)),
+    "fy": (_number, True, (">", 0)),
+    "cx": (_number, True, None),
+    "cy": (_number, True, None),
+    "width": (_integer, True, (">=", 1)),
+    "height": (_integer, True, (">=", 1)),
+    "rotation": (_matrix3, False, None),
+    "translation": (_vec3, False, None),
+}
+DISPLAY = {
+    "origin": (_vec3, True, None),
+    "u": (_vec3, True, None),
+    "v": (_vec3, True, None),
+    "pitch": (_number, True, (">", 0)),
+    "width": (_integer, True, (">=", 1)),
+    "height": (_integer, True, (">=", 1)),
+}
+WORKING_DISTANCE = {
+    "s_min": (_number, True, (">", 0)),
+    "s_max": (_number, True, (">", 0)),
+}
+PATTERN = {
+    "kind": (_one_of("phase-shift", "cross-sinusoid"), False, None),
+    "axes": (_axes, False, None),
+    "steps": (_integer, False, (">=", 3)),
+    "freq": (_number, False, (">", 0)),
+    "f_u": (_number, False, (">", 0)),
+    "f_v": (_number, False, (">", 0)),
+    "mean": (_number, False, None),
+    "depth": (_number, False, None),
+}
+NOISE = {
+    "sigma": (_number, False, (">=", 0)),
+    "photon": (_bool, False, None),
+    "bits": (_one_of(0, 8, 10, 12, 16), False, None),
+    "seed": (_integer, False, (">=", 0)),
+}
+RENDER = {
+    "dop_model": (_one_of("eq5", "eq6", "exact"), False, None),
+    "auto_expose": (_bool, False, None),
+    "exposure_headroom": (_number, False, (">", 0)),
+}
+MATERIAL = {
+    "m": (_number, True, (">", 1)),
+    "kappa": (_number, False, (">=", 0)),
+}
+SURFACES = {
+    "sphere": _block(Sphere, {
+        "center": (_vec3, True, None),
+        "radius": (_number, True, (">", 0)),
+    }),
+    "plane": _block(Plane, {
+        "point": (_vec3, True, None),
+        "normal": (_vec3, True, None),
+    }),
+    "heightfield": _block(HeightField, {
+        "x0": (_number, True, None),
+        "y0": (_number, True, None),
+        "dx": (_number, True, (">", 0)),
+        "dy": (_number, True, (">", 0)),
+        "z_grid": (_grid, True, None),
+    }),
 }
 
-_validator = Draft202012Validator(SCENE_SCHEMA)
+
+def _surface(doc, path):
+    """The surface block: its kind picks the table of the other fields."""
+    if "kind" not in _object(doc, path):
+        raise ManifestError(f"{path}.kind: required")
+    read = SURFACES[_one_of(*SURFACES)(doc["kind"], f"{path}.kind")]
+    return read({k: v for k, v in doc.items() if k != "kind"}, path)
 
 
-def validate_manifest(doc: dict):
-    errors = sorted(_validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        msgs = [
-            f"$.{'.'.join(str(p) for p in e.absolute_path)}: {e.message}" for e in errors
-        ]
-        raise ManifestError("; ".join(msgs))
+def material_from(doc, path: str = "$.material") -> MaterialOpticalProperties:
+    """A preset name, or an inline {"m", "kappa"} complex index."""
+    if not isinstance(doc, str):
+        return _block(MaterialOpticalProperties, MATERIAL)(doc, path)
+    if doc not in MATERIAL_PRESETS:
+        raise ManifestError(f"{path}: unknown material preset {doc!r}; "
+                            f"known: {sorted(MATERIAL_PRESETS)}")
+    return MATERIAL_PRESETS[doc]
 
 
-def _surface_from(doc: dict):
-    kind = doc["kind"]
-    if kind == "sphere":
-        return Sphere(center=np.asarray(doc["center"]), radius=float(doc["radius"]))
-    if kind == "plane":
-        return Plane(point=np.asarray(doc["point"]), normal=np.asarray(doc["normal"]))
-    if kind == "heightfield":
-        return HeightField(
-            x0=float(doc["x0"]),
-            y0=float(doc["y0"]),
-            dx=float(doc["dx"]),
-            dy=float(doc["dy"]),
-            z_grid=np.asarray(doc["z_grid"], dtype=np.float64),
-        )
-    raise ManifestError(f"unknown surface kind {kind!r}")
+MANIFEST = {
+    "comment": (_string, False, None),
+    "units": (_string, False, None),
+    "output_dir": (_string, False, None),
+    "camera": (_block(PinholeCamera, CAMERA), True, None),
+    "display": (_block(DisplayPlane, DISPLAY), True, None),
+    "working_distance": (_block(WorkingDistanceInterval, WORKING_DISTANCE), True, None),
+    "surface": (_surface, True, None),
+    "material": (material_from, True, None),
+    "pattern": (_block(PatternSpec, PATTERN), False, None),
+    "noise": (_block(NoiseModel, NOISE), False, None),
+    "render": (_block(dict, RENDER), False, None),  # Scene's own fields
+}
 
 
-def material_from(doc) -> MaterialOpticalProperties:
-    if isinstance(doc, str):
-        try:
-            return MATERIAL_PRESETS[doc]
-        except KeyError:
-            raise ManifestError(
-                f"unknown material preset {doc!r}; known: {sorted(MATERIAL_PRESETS)}"
-            ) from None
-    return MaterialOpticalProperties(m=doc["m"], kappa=doc.get("kappa", 0.0))
+def validate_manifest(doc) -> Scene:
+    """Parse a manifest document into the Scene it describes.
 
-
-def scene_from_manifest(doc: dict) -> Scene:
-    """Validate a manifest document and build the Scene it describes."""
-    validate_manifest(doc)
-    c = doc["camera"]
-    camera = PinholeCamera(
-        fx=c["fx"],
-        fy=c["fy"],
-        cx=c["cx"],
-        cy=c["cy"],
-        width=c["width"],
-        height=c["height"],
-        rotation=np.asarray(c.get("rotation", np.eye(3).tolist())),
-        translation=np.asarray(c.get("translation", [0.0, 0.0, 0.0])),
-    )
-    d = doc["display"]
-    display = DisplayPlane(
-        origin=np.asarray(d["origin"]),
-        u=np.asarray(d["u"]),
-        v=np.asarray(d["v"]),
-        pitch=d["pitch"],
-        width=d["width"],
-        height=d["height"],
-    )
-    wd = doc["working_distance"]
-    interval = WorkingDistanceInterval(s_min=wd["s_min"], s_max=wd["s_max"])
-    p = dict(doc.get("pattern", {}))
-    if "axes" in p:
-        p["axes"] = tuple(p["axes"])
-    pattern = PatternSpec(**p)
-    n = doc.get("noise", {})
-    noise = NoiseModel(
-        sigma=n.get("sigma", 0.0),
-        photon=n.get("photon", False),
-        bits=n.get("bits", 0),
-        seed=n.get("seed", 0),
-    )
-    r = doc.get("render", {})
-    return Scene(
-        camera=camera,
-        display=display,
-        interval=interval,
-        surface=_surface_from(doc["surface"]),
-        material=material_from(doc["material"]),
-        pattern=pattern,
-        noise=noise,
-        dop_model=r.get("dop_model", "eq6"),
-        auto_expose=r.get("auto_expose", True),
-        exposure_headroom=r.get("exposure_headroom", 0.95),
-    )
+    Raises ManifestError naming the JSON path of the first fault: a
+    missing or unknown key, a value of the wrong type, a non-finite or
+    out-of-bound number, or a block that its constructor rejects.
+    """
+    top = _fields(doc, MANIFEST, "$")
+    blocks = ("camera", "display", "surface", "material", "pattern", "noise")
+    return Scene(interval=top["working_distance"], **{k: top[k] for k in blocks if k in top},
+                 **top.get("render", {}))
 
 
 def load_manifest(path) -> dict:
-    path = Path(path)
+    """Decode a manifest file; validate_manifest checks what it holds."""
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as e:
         raise ManifestError(f"{path}: {e}") from e
-    validate_manifest(doc)
+    if not isinstance(doc, dict):
+        raise ManifestError("$: must be an object")
     return doc
 
 

@@ -12,24 +12,17 @@ import numpy as np
 
 from . import __version__
 from .codec import (
-    CorrespondenceMap,
+    FREQ_LOW,
     decode_fourier_single_shot,
     decode_phase_shift,
     phase_to_display_coords,
     unwrap_two_frequency,
 )
-from .manifest import (
-    ManifestError,
-    RunRecord,
-    load_manifest,
-    manifest_hash,
-    scene_from_manifest,
-    material_from,
-)
+from .manifest import RunRecord, load_manifest, manifest_hash, validate_manifest
 from .metrics import evaluate as evaluate_maps
 from .pfmio import read_pfm, write_pfm, write_sidecar
 from .reconstruct import Status, export_geometry, fuse_map, orthographic_baseline
-from .simulator import CHANNEL_NAMES, render_stack, trace
+from .simulator import CHANNEL_NAMES, Sphere, render_stack, trace
 from .polarization import stokes_from_quad
 
 
@@ -51,7 +44,7 @@ def _nan_to(a, fill=0.0):
 def simulate(manifest_doc: dict, out_dir) -> dict:
     """Render a scene to disk: per-frame channel PFMs with their pattern
     metadata, the ground-truth set and a render report."""
-    scene = scene_from_manifest(manifest_doc)  # validates before any output
+    scene = validate_manifest(manifest_doc)  # before any output
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     record = RunRecord("simulate", manifest_hash(manifest_doc), __version__)
@@ -114,6 +107,8 @@ def _load_frames(in_dir: Path, shape: tuple[int, int]):
             if chans[name].shape != shape:
                 raise DataError(f"{p}: raster shape {chans[name].shape} differs from "
                                 f"the manifest camera {shape}")
+            if not np.isfinite(chans[name]).all():
+                raise DataError(f"{p}: raster holds NaN or inf samples")
         frames.append({"pattern": pattern, "channels": chans})
     return frames
 
@@ -130,12 +125,12 @@ def _group(frames, **match):
 
 
 def _decode_axis_multishot(frames, axis: str, spec) -> tuple:
-    low = _group(frames, kind="phase-shift", axis=axis, frequency=spec.freq_low, role="code")
+    low = _group(frames, kind="phase-shift", axis=axis, frequency=FREQ_LOW, role="code")
     high = _group(frames, kind="phase-shift", axis=axis, frequency=spec.freq, role="code")
     if len(low) != spec.steps or len(high) != spec.steps:
         raise DataError(
             f"axis {axis!r}: expected {spec.steps} frames at frequencies "
-            f"{spec.freq_low} and {spec.freq}, found {len(low)}/{len(high)}"
+            f"{FREQ_LOW} and {spec.freq}, found {len(low)}/{len(high)}"
         )
     ph_low, _, v_low = decode_phase_shift(
         [_s0(f["channels"]) for f in low], spec.steps, MODULATION_THRESHOLD)
@@ -146,7 +141,7 @@ def _decode_axis_multishot(frames, axis: str, spec) -> tuple:
 
 
 def _decode_prior(frames, axis: str, spec):
-    prior = _group(frames, kind="phase-shift", axis=axis, frequency=spec.freq_low, role="prior")
+    prior = _group(frames, kind="phase-shift", axis=axis, frequency=FREQ_LOW, role="prior")
     if len(prior) != spec.steps:
         raise DataError(f"axis {axis!r}: missing low-frequency prior frames")
     ph, _, valid = decode_phase_shift(
@@ -196,7 +191,7 @@ def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
     if not (in_dir / "manifest.json").exists():
         raise DataError(f"missing input manifest: {in_dir / 'manifest.json'}")
     doc = load_manifest(in_dir / "manifest.json")
-    scene = scene_from_manifest(doc)
+    scene = validate_manifest(doc)
     spec = scene.pattern
     if mode == "multi" and spec.kind != "phase-shift":
         raise DataError("multi-shot mode requires phase-shift frames")
@@ -276,7 +271,7 @@ def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
             "corr": corr, "scene": scene, "baseline": baseline}
 
 
-def evaluate(solution_dir, truth_dir, out_dir=None, manifest_path=None) -> dict:
+def evaluate(solution_dir, truth_dir, out_dir=None) -> dict:
     """Compare a solution directory with a ground-truth directory."""
     sol = Path(solution_dir)
     tru = Path(truth_dir)
@@ -285,9 +280,7 @@ def evaluate(solution_dir, truth_dir, out_dir=None, manifest_path=None) -> dict:
               tru / "depth.pfm", tru / "normal.pfm", tru / "mask.pfm"):
         if not p.exists():
             raise DataError(f"missing input: {p}")
-    manifest_path = manifest_path or tru.parent / "manifest.json"
-    doc = load_manifest(manifest_path)
-    scene = scene_from_manifest(doc)
+    scene = validate_manifest(load_manifest(tru.parent / "manifest.json"))
 
     est_depth = read_pfm(sol / "depth.pfm")
     est_norm = read_pfm(sol / "normal.pfm")
@@ -301,9 +294,7 @@ def evaluate(solution_dir, truth_dir, out_dir=None, manifest_path=None) -> dict:
     mask = (status == int(Status.OK)) & tr_mask
     rays = scene.camera.ray_grid()
     points = scene.camera.center + est_depth[..., None] * rays
-    true_radius = None
-    if doc["surface"]["kind"] == "sphere":
-        true_radius = float(doc["surface"]["radius"])
+    true_radius = scene.surface.radius if isinstance(scene.surface, Sphere) else None
     counts = {s.name.lower(): int(np.sum(status == s)) for s in Status}
     report = evaluate_maps(
         est_norm, est_depth, points, tr_norm, tr_depth, mask, scene.camera,

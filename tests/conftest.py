@@ -33,10 +33,10 @@ def ball_run(ball_sim_dir):
 
 @pytest.fixture(scope="session")
 def ball_truth(ball_sim_dir):
-    from poldefl.manifest import scene_from_manifest, load_manifest
+    from poldefl.manifest import validate_manifest, load_manifest
     from poldefl.simulator import trace
 
-    scene = scene_from_manifest(load_manifest(ball_sim_dir / "manifest.json"))
+    scene = validate_manifest(load_manifest(ball_sim_dir / "manifest.json"))
     return scene, trace(scene)
 
 

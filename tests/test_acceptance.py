@@ -13,7 +13,7 @@ from poldefl import geometry as geo
 from poldefl import pipeline
 from poldefl.codec import CorrespondenceMap
 from poldefl.geometry import WorkingDistanceInterval, half_angle_along_ray
-from poldefl.manifest import bearing_ball_manifest, load_manifest, scene_from_manifest
+from poldefl.manifest import bearing_ball_manifest, load_manifest, validate_manifest
 from poldefl.metrics import field_angle_error_profile
 from poldefl.polarization import (
     GRAZING_EPS,
@@ -165,7 +165,7 @@ class TestCriterion5PropertySuites:
         s_out = tmp_path_factory.mktemp("single_rt")
         pipeline.simulate(bearing_ball_manifest(size=256, mode="single"), s_out)
         rec_s = pipeline.reconstruct(s_out, "single")
-        scene_s = scene_from_manifest(load_manifest(s_out / "manifest.json"))
+        scene_s = validate_manifest(load_manifest(s_out / "manifest.json"))
         truth_s = trace(scene_s)
         corr_s = rec_s["corr"]
         sel_s = corr_s.valid & truth_s.mask
@@ -202,7 +202,7 @@ class TestCriterion5PropertySuites:
                         f"reflection {refl_res:.1e}, AoLP {aolp_res:.1e} rad"))
 
         # (f) determinism: bit-identical noisy reruns
-        small = scene_from_manifest(bearing_ball_manifest(size=96, sigma=0.005, seed=5))
+        small = validate_manifest(bearing_ball_manifest(size=96, sigma=0.005, seed=5))
         tr = trace(small)
         a, _ = render_stack(small, tr)
         b, _ = render_stack(small, tr)

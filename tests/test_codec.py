@@ -56,7 +56,7 @@ class TestPatternSpec:
 
 class TestGeneratePatterns:
     def test_four_step_axis_u_unit_frequency(self):
-        spec = PatternSpec(axes=("u",), steps=4, freq=1.0, freq_low=1.0)
+        spec = PatternSpec(axes=("u",), steps=4, freq=1.0)
         frames = generate_patterns(spec, _disp())
         low = [f for f in frames if f.step in range(4)][:4]
         assert len(frames) == 8  # reference + coding set, both at freq 1
@@ -275,11 +275,11 @@ class TestEndToEndCorrespondence:
         assert rms <= 0.1
 
     def test_single_shot_round_trip_within_tenth_display_pixel(self, single_sim_dir):
-        from poldefl.manifest import load_manifest, scene_from_manifest
+        from poldefl.manifest import load_manifest, validate_manifest
         from poldefl.simulator import trace
 
         rec = pipeline.reconstruct(single_sim_dir, "single")
-        scene = scene_from_manifest(load_manifest(single_sim_dir / "manifest.json"))
+        scene = validate_manifest(load_manifest(single_sim_dir / "manifest.json"))
         truth = trace(scene)
         corr = rec["corr"]
         sel = corr.valid & truth.mask
@@ -294,13 +294,13 @@ class TestEndToEndCorrespondence:
         doc_multi = bearing_ball_manifest(size=192)
         out = tmp_path / "multi192"
         pipeline.simulate(doc_multi, out)
-        from poldefl.manifest import load_manifest, scene_from_manifest
+        from poldefl.manifest import load_manifest, validate_manifest
 
-        scene_m = scene_from_manifest(load_manifest(out / "manifest.json"))
+        scene_m = validate_manifest(load_manifest(out / "manifest.json"))
         spec_m = scene_m.pattern
         shape = (scene_m.camera.height, scene_m.camera.width)
         frames_m = pipeline._load_frames(out, shape)
-        spec_s = scene_from_manifest(
+        spec_s = validate_manifest(
             load_manifest(single_sim_dir / "manifest.json")).pattern
         frames_s = pipeline._load_frames(single_sim_dir, shape)
         decoded_s, _ = pipeline._decode_single_shot(frames_s, spec_s)
@@ -317,10 +317,10 @@ class TestEndToEndCorrespondence:
         doc = bearing_ball_manifest(size=128, sigma=0.01, seed=3)
         out = tmp_path / "noisy"
         pipeline.simulate(doc, out)
-        from poldefl.manifest import load_manifest, scene_from_manifest
+        from poldefl.manifest import load_manifest, validate_manifest
         from poldefl.simulator import trace
 
-        scene = scene_from_manifest(load_manifest(out / "manifest.json"))
+        scene = validate_manifest(load_manifest(out / "manifest.json"))
         truth = trace(scene)
         frames = pipeline._load_frames(out, truth.mask.shape)
         spec = scene.pattern

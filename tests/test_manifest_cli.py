@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,9 @@ from poldefl.manifest import (
     manifest_hash,
     material_from,
     qualitative_heightfield_manifest,
-    scene_from_manifest,
     validate_manifest,
 )
-from poldefl.pfmio import write_pfm
+from poldefl.pfmio import read_pfm, write_pfm
 from poldefl.simulator import HeightField, Sphere
 
 SMALL = 96
@@ -36,14 +36,14 @@ def _write_manifest(tmp_path, doc, name="scene.json"):
 
 class TestManifest:
     def test_default_scene_builds(self):
-        scene = scene_from_manifest(bearing_ball_manifest(size=SMALL))
+        scene = validate_manifest(bearing_ball_manifest(size=SMALL))
         assert isinstance(scene.surface, Sphere)
         assert scene.surface.radius == 12.7
         assert scene.material.m == 2.76 and scene.material.kappa == 3.79
         assert scene.dop_model == "eq6"
 
     def test_heightfield_scene_builds(self):
-        scene = scene_from_manifest(qualitative_heightfield_manifest("horse", size=SMALL))
+        scene = validate_manifest(qualitative_heightfield_manifest("horse", size=SMALL))
         assert isinstance(scene.surface, HeightField)
         assert scene.material.m == 3.13  # chrome preset
 
@@ -75,7 +75,7 @@ class TestManifest:
         doc = bearing_ball_manifest(size=SMALL)
         doc["material"] = "nonexistium"
         with pytest.raises(ManifestError):
-            scene_from_manifest(doc)
+            validate_manifest(doc)
 
     def test_inline_material(self):
         mat = material_from({"m": 1.5})
@@ -97,6 +97,139 @@ class TestManifest:
         assert manifest_hash(doc) == manifest_hash(reordered)
         doc2 = bearing_ball_manifest(size=SMALL, seed=1)
         assert manifest_hash(doc) != manifest_hash(doc2)
+
+
+def _ball():
+    return bearing_ball_manifest(size=32)
+
+
+def _horse():
+    return qualitative_heightfield_manifest("horse", size=32)
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    for k in keys:
+        doc = doc[k]
+    doc[last] = value
+
+
+def _drop(doc, path):
+    *keys, last = path
+    for k in keys:
+        doc = doc[k]
+    del doc[last]
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (id, base scene, edit, start of the error message: the JSON path, then
+# the reason; None for a manifest that must still simulate). An edit
+# changes the document in place, or returns the document to write instead.
+MANIFEST_FAULTS = [
+    ("fx-nan", _ball, lambda d: _set(d, ["camera", "fx"], NAN),
+     "$.camera.fx: must be finite"),
+    ("fx-inf", _ball, lambda d: _set(d, ["camera", "fx"], INF),
+     "$.camera.fx: must be finite"),
+    ("fx-true", _ball, lambda d: _set(d, ["camera", "fx"], True),
+     "$.camera.fx: must be a number"),
+    ("origin-nan", _ball, lambda d: _set(d, ["display", "origin", 1], NAN),
+     "$.display.origin[1]: must be finite"),
+    ("material-m-nan", _ball, lambda d: _set(d, ["material"], {"m": NAN}),
+     "$.material.m: must be finite"),
+    ("sigma-nan", _ball, lambda d: _set(d, ["noise", "sigma"], NAN),
+     "$.noise.sigma: must be finite"),
+    ("headroom-nan", _ball, lambda d: _set(d, ["render", "exposure_headroom"], NAN),
+     "$.render.exposure_headroom: must be finite"),
+    ("freq-low", _ball, lambda d: _set(d, ["pattern", "freq_low"], 2),
+     "$.pattern.freq_low: unknown key"),
+    ("surface-unknown-key", _ball, lambda d: _set(d, ["surface", "colour"], "red"),
+     "$.surface.colour: unknown key"),
+    ("radius-string", _ball, lambda d: _set(d, ["surface", "radius"], "12"),
+     "$.surface.radius: must be a number"),
+    ("sphere-without-radius", _ball, lambda d: _drop(d, ["surface", "radius"]),
+     "$.surface.radius: required"),
+    ("sphere-without-center", _ball, lambda d: _drop(d, ["surface", "center"]),
+     "$.surface.center: required"),
+    ("center-2-vector", _ball, lambda d: _set(d, ["surface", "center"], [0.0, 48.0]),
+     "$.surface.center: must be a list of 3"),
+    ("s-min-above-s-max", _ball, lambda d: _set(d, ["working_distance", "s_min"], 300.0),
+     "$.working_distance: require 0 < s_min < s_max"),
+    ("s-max-minus-inf", _ball, lambda d: _set(d, ["working_distance", "s_max"], -INF),
+     "$.working_distance.s_max: must be finite"),
+    ("pattern-mean-negative", _ball, lambda d: _set(d, ["pattern", "mean"], -3),
+     "$.pattern: mean +/- depth"),
+    ("pattern-steps-fraction", _ball, lambda d: _set(d, ["pattern", "steps"], 4.5),
+     "$.pattern.steps: must be an integer"),
+    ("pattern-axis-unknown", _ball, lambda d: _set(d, ["pattern", "axes"], ["u", "w"]),
+     "$.pattern.axes[1]: must be one of"),
+    ("rotation-not-orthonormal", _ball,
+     lambda d: _set(d, ["camera", "rotation"], [[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
+     "$.camera: rotation must be orthonormal"),
+    ("rotation-3x2", _ball, lambda d: _set(d, ["camera", "rotation"], [[1, 0], [0, 1], [0, 0]]),
+     "$.camera.rotation[0]: must be a list of 3"),
+    ("display-axes-parallel", _ball, lambda d: _set(d, ["display", "v"], [1.0, 0.0, 0.0]),
+     "$.display: display basis vectors"),
+    ("cx-outside-sensor", _ball, lambda d: _set(d, ["camera", "cx"], 100.0),
+     "$.camera: principal point outside"),
+    ("seed-2**63", _ball, lambda d: _set(d, ["noise", "seed"], 2**63),
+     "$.noise.seed: must be an integer"),
+    ("bits-unknown", _ball, lambda d: _set(d, ["noise", "bits"], 7),
+     "$.noise.bits: must be one of"),
+    ("bits-false", _ball, lambda d: _set(d, ["noise", "bits"], False),
+     "$.noise.bits: must be one of"),
+    ("photon-string", _ball, lambda d: _set(d, ["noise", "photon"], "yes"),
+     "$.noise.photon: must be true or false"),
+    ("dop-model-unknown", _ball, lambda d: _set(d, ["render", "dop_model"], "eq7"),
+     "$.render.dop_model: must be one of"),
+    ("material-unknown-preset", _ball, lambda d: _set(d, ["material"], "nonexistium"),
+     "$.material: unknown material preset"),
+    ("kappa-negative", _ball, lambda d: _set(d, ["material"], {"m": 2.0, "kappa": -1.0}),
+     "$.material.kappa: must be >= 0"),
+    ("surface-kind-unknown", _ball, lambda d: _set(d, ["surface"], {"kind": "torus"}),
+     "$.surface.kind: must be one of"),
+    ("plane-zero-normal", _ball,
+     lambda d: _set(d, ["surface"], {"kind": "plane", "point": [0, 0, 48], "normal": [0, 0, 0]}),
+     "$.surface: cannot normalize"),
+    ("camera-missing", _ball, lambda d: _drop(d, ["camera"]),
+     "$.camera: required"),
+    ("top-level-unknown-key", _ball, lambda d: _set(d, ["scale"], 2.0),
+     "$.scale: unknown key"),
+    ("top-level-list", _ball, lambda d: [d],
+     "$: must be an object"),
+    ("heightfield-without-z-grid", _horse, lambda d: _drop(d, ["surface", "z_grid"]),
+     "$.surface.z_grid: required"),
+    ("z-grid-ragged", _horse, lambda d: _drop(d, ["surface", "z_grid", 5, -1]),
+     "$.surface.z_grid: rows must all have the same length"),
+    ("z-grid-nan", _horse, lambda d: _set(d, ["surface", "z_grid", 3, 7], NAN),
+     "$.surface.z_grid[3][7]: must be finite"),
+    ("z-grid-bool", _horse, lambda d: _set(d, ["surface", "z_grid", 0, 0], False),
+     "$.surface.z_grid[0][0]: must be a number"),
+    ("z-grid-3x3", _horse, lambda d: _set(d, ["surface", "z_grid"], [[0.0] * 3] * 3),
+     "$.surface: heightfield grid must be >= 4x4"),
+    ("heightfield-dx-zero", _horse, lambda d: _set(d, ["surface", "dx"], 0),
+     "$.surface.dx: must be > 0"),
+    ("width-integral-float", _ball, lambda d: _set(d, ["camera", "width"], 32.0),
+     None),
+]
+
+
+class TestManifestFaults:
+    @pytest.mark.parametrize("base, edit, message", [row[1:] for row in MANIFEST_FAULTS],
+                             ids=[row[0] for row in MANIFEST_FAULTS])
+    def test_simulate_exit_code(self, tmp_path, capsys, base, edit, message):
+        doc = base()
+        replaced = edit(doc)
+        man = _write_manifest(tmp_path, doc if replaced is None else replaced)
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--manifest", str(man), "--out", str(out)])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0 and (out / "manifest.json").exists()
+            return
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"configuration error: {message}"), err
+        assert not out.exists()
 
 
 class TestSimulateAtomicity:
@@ -185,8 +318,12 @@ class TestCli:
         (lambda run: _edit_index(run, lambda idx: idx[1]["pattern"].pop("step")), "frames.json"),
         (lambda run: write_pfm(run / "frames" / "f005_I090.pfm", np.zeros((SMALL, SMALL - 1))),
          "f005_I090.pfm"),
+        (lambda run: write_pfm(run / "frames" / "f000_I000.pfm", np.full((SMALL, SMALL), np.nan)),
+         "f000_I000.pfm"),
+        (lambda run: _edit_raster(run / "frames" / "f007_I135.pfm", (40, 51), np.inf),
+         "f007_I135.pfm"),
     ], ids=["truncated-json", "entry-without-files", "file-not-a-path", "entry-not-an-object",
-            "pattern-without-step", "raster-shape"])
+            "pattern-without-step", "raster-shape", "all-nan-raster", "one-inf-sample"])
     def test_bad_frame_data_is_data_error(self, cli_sim_dir, tmp_path, capsys, damage, named):
         run = tmp_path / "run"
         shutil.copytree(cli_sim_dir, run)
@@ -195,22 +332,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and named in err
 
-    def test_package_needs_no_scipy(self):
-        """The CLI, a heightfield trace, a single-shot decode and the DoP
-        peak of every model run on numpy alone: no scipy module loads."""
-        code = ("import sys, numpy as np\n"
-                "import poldefl.cli\n"
-                "from poldefl import codec, manifest, polarization, simulator\n"
-                "doc = manifest.qualitative_heightfield_manifest('horse', size=32)\n"
-                "assert simulator.trace(manifest.scene_from_manifest(doc)).mask.any()\n"
-                "z = np.zeros((32, 32))\n"
-                "codec.decode_fourier_single_shot(z, reference_phase={'u': z, 'v': z})\n"
-                "polarization.dop_peak(2.76, 3.79, 'exact')\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    def test_package_needs_no_scipy(self, tmp_path):
+        """The CLI, a heightfield trace, a single-shot decode, the DoP peak
+        of every model and a simulate run on numpy alone: no scipy module
+        loads, and jsonschema cannot be imported at all."""
+        code = textwrap.dedent("""
+            import sys, json, numpy as np
+
+            class NoJsonschema:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split('.')[0] == 'jsonschema':
+                        raise ImportError(name)
+
+            sys.meta_path.insert(0, NoJsonschema())
+            import poldefl.cli
+            from poldefl import codec, manifest, polarization, simulator
+            doc = manifest.qualitative_heightfield_manifest('horse', size=32)
+            assert simulator.trace(manifest.validate_manifest(doc)).mask.any()
+            z = np.zeros((32, 32))
+            codec.decode_fourier_single_shot(z, reference_phase={'u': z, 'v': z})
+            polarization.dop_peak(2.76, 3.79, 'exact')
+            man = sys.argv[1] + '/scene.json'
+            with open(man, 'w') as f:
+                json.dump(manifest.bearing_ball_manifest(size=32), f)
+            assert poldefl.cli.main(['simulate', '--manifest', man,
+                                     '--out', sys.argv[1] + '/run']) == 0
+            print(sorted(m for m in sys.modules
+                         if m.split('.')[0] in ('scipy', 'jsonschema')))
+        """)
         env = {**os.environ, "PYTHONPATH": str(Path(poldefl.__file__).parents[1])}
-        res = subprocess.run([sys.executable, "-c", code], env=env,
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                              capture_output=True, text=True, check=True)
-        assert res.stdout.strip() == "[]"
+        assert res.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "run" / "manifest.json").exists()
+
+
+def _edit_raster(path: Path, pixel, value):
+    raster = read_pfm(path)
+    raster[pixel] = value
+    write_pfm(path, raster)
 
 
 def _edit_index(run: Path, edit):

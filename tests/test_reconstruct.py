@@ -176,10 +176,10 @@ class TestFusePixel:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_matches_fuse_map_bit_for_bit(self, strict):
-        from poldefl.manifest import bearing_ball_manifest, scene_from_manifest
+        from poldefl.manifest import bearing_ball_manifest, validate_manifest
 
         # exact Fresnel: some clamped saturated pixels stay solvable
-        scene = scene_from_manifest(bearing_ball_manifest(size=64, dop_model="exact"))
+        scene = validate_manifest(bearing_ball_manifest(size=64, dop_model="exact"))
         truth = trace(scene)
         stokes, corr = _truth_stokes_corr(scene, truth)
         _, rho_max = dop_peak(scene.material.m, scene.material.kappa, scene.dop_model)
@@ -326,7 +326,7 @@ class TestFuseMap:
 
     def test_noise_monotone_normal_rmse(self, tmp_path):
         from poldefl import pipeline
-        from poldefl.manifest import bearing_ball_manifest, load_manifest, scene_from_manifest
+        from poldefl.manifest import bearing_ball_manifest, load_manifest, validate_manifest
 
         rmses = []
         for sigma in (0.0, 0.0025, 0.005, 0.01):
@@ -335,7 +335,7 @@ class TestFuseMap:
                                         dop_model="exact")
             pipeline.simulate(doc, out)
             rec = pipeline.reconstruct(out, "multi")
-            scene = scene_from_manifest(load_manifest(out / "manifest.json"))
+            scene = validate_manifest(load_manifest(out / "manifest.json"))
             truth = trace(scene)
             sol = rec["solution"]
             sel = sol.ok & truth.mask

@@ -13,7 +13,7 @@ from poldefl.geometry import (
     bisector_normal,
     half_angle,
 )
-from poldefl.manifest import qualitative_heightfield_manifest, scene_from_manifest
+from poldefl.manifest import qualitative_heightfield_manifest, validate_manifest
 from poldefl.polarization import (
     MATERIAL_PRESETS,
     MaterialOpticalProperties,
@@ -42,7 +42,7 @@ def _cam(n=32):
 
 
 def _horse(n):
-    return scene_from_manifest(qualitative_heightfield_manifest("horse", size=n))
+    return validate_manifest(qualitative_heightfield_manifest("horse", size=n))
 
 
 def _ridge():
