@@ -161,8 +161,6 @@ NOISE = {
 }
 RENDER = {
     "dop_model": (_one_of("eq5", "eq6", "exact"), False, None),
-    "auto_expose": (_bool, False, None),
-    "exposure_headroom": (_number, False, (">", 0)),
 }
 MATERIAL = {
     "m": (_number, True, (">", 1)),
@@ -292,7 +290,7 @@ def bearing_ball_manifest(
         "material": "bearing-ball-steel",
         "pattern": pattern,
         "noise": {"sigma": sigma, "seed": seed},
-        "render": {"dop_model": dop_model, "auto_expose": True},
+        "render": {"dop_model": dop_model},
     }
 
 
@@ -351,7 +349,7 @@ def qualitative_heightfield_manifest(name: str = "horse", size: int = 256, seed:
             "depth": 0.25,
         },
         "noise": {"sigma": 0.0, "seed": seed},
-        "render": {"dop_model": "eq6", "auto_expose": True},
+        "render": {"dop_model": "eq6"},
     }
 
 

@@ -30,9 +30,10 @@ class DataError(ValueError):
     """Missing or inconsistent input data on disk."""
 
 
-# Validity thresholds as fractions of the sensor full scale (auto exposure
-# pins the brightest noiseless sample at 0.95): unlit pixels, and pixels
-# whose fringe amplitude is at the noise floor.
+# Validity thresholds as fractions of the sensor full scale (the exposure
+# puts the brightest noiseless sample at simulator.EXPOSURE_HEADROOM =
+# 0.95): unlit pixels, and pixels whose fringe amplitude is at the noise
+# floor.
 DARK_THRESHOLD = 0.05
 MODULATION_THRESHOLD = 0.02
 
@@ -57,13 +58,13 @@ def simulate(manifest_doc: dict, out_dir) -> dict:
     (out / "frames").mkdir(exist_ok=True)
     (out / "truth").mkdir(exist_ok=True)
     index = []
-    for k, fr in enumerate(frames):
+    for k, (pattern, channels) in enumerate(frames):
         files = {}
-        for name, ch in zip(CHANNEL_NAMES, fr.channels):
+        for name, ch in zip(CHANNEL_NAMES, channels):
             rel = f"frames/f{k:03d}_{name}.pfm"
             write_pfm(out / rel, ch)
             files[name] = rel
-        index.append({"index": k, "files": files, "pattern": fr.pattern.meta()})
+        index.append({"index": k, "files": files, "pattern": pattern.meta()})
     (out / "frames" / "frames.json").write_text(json.dumps(index, indent=2))
     record.stage("write_frames")
 
@@ -80,7 +81,7 @@ def simulate(manifest_doc: dict, out_dir) -> dict:
     record.stage("write_truth")
     record.inventory(out)
     record.write(out / "run_record.json")
-    return {"out": out, "report": report, "truth": truth, "frames": len(frames)}
+    return {"out": out, "report": report, "truth": truth, "frames": report["frames"]}
 
 
 def _load_frames(in_dir: Path, shape: tuple[int, int]):

@@ -14,13 +14,13 @@ display is assumed, so the source splits evenly between s and p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import geometry as geo
-from .codec import PatternFrame, PatternSpec, generate_patterns
+from .codec import PatternSpec, generate_patterns
 from .geometry import DisplayPlane, PinholeCamera, WorkingDistanceInterval
 from .polarization import MaterialOpticalProperties, dop_model, fresnel_reflectance
 
@@ -277,9 +277,11 @@ class Scene:
     material: MaterialOpticalProperties
     pattern: PatternSpec = field(default_factory=PatternSpec)
     noise: NoiseModel = field(default_factory=NoiseModel)
-    dop_model: str = "eq6"  # 'eq5' | 'eq6' | 'exact'
-    auto_expose: bool = True
-    exposure_headroom: float = 0.95
+    dop_model: str | None = None  # 'eq5' | 'eq6' | 'exact'; None: the material's
+
+    def __post_init__(self):
+        if self.dop_model is None:
+            object.__setattr__(self, "dop_model", self.material.default_model)
 
 
 @dataclass
@@ -378,59 +380,89 @@ CHANNEL_ANGLES = np.deg2rad([0.0, 45.0, 90.0, 135.0])
 CHANNEL_NAMES = ("I000", "I045", "I090", "I135")
 
 
-def render_frame(scene: Scene, truth: GroundTruth, pattern: np.ndarray) -> list[np.ndarray]:
-    """Noiseless four-channel stack for one display pattern.
+# The exposure gain puts the brightest noiseless sample of a sequence at
+# this fraction of full scale; pipeline's validity thresholds assume it.
+EXPOSURE_HEADROOM = 0.95
 
-    The total reflected power always follows the exact Fresnel
-    reflectances; the synthesized DoP follows scene.dop_model so the
-    model-matched modes isolate pipeline numerics from model error.
+
+@dataclass(frozen=True)
+class RenderPlan:
+    """What rendering needs of a traced scene, computed once. Arrays are
+    packed: entry k belongs to the hit pixel at flat raster index index[k].
+
+    display_ij: the display coordinates each pixel sees, (n, 2);
+    reflectance: the unpolarized reflectance (R_s + R_p) / 2;
+    rho: the DoP of scene.dop_model;
+    cos2: cos(2*(a - aolp)) for each of CHANNEL_ANGLES, (4, n).
     """
-    theta = np.where(truth.mask, truth.theta, 0.0)
+
+    shape: tuple[int, int]
+    index: np.ndarray
+    display_ij: np.ndarray
+    reflectance: np.ndarray
+    rho: np.ndarray
+    cos2: np.ndarray
+
+    def raster(self, packed: np.ndarray) -> np.ndarray:
+        """The packed values at their pixels of a raster that is 0 elsewhere."""
+        out = np.zeros(self.shape)
+        out.flat[self.index] = packed
+        return out
+
+
+def render_plan(scene: Scene, truth: GroundTruth) -> RenderPlan:
+    """The plan of the scene's hit pixels. The total reflected power always
+    follows the exact Fresnel reflectances; the synthesized DoP follows
+    scene.dop_model so the model-matched modes isolate pipeline numerics
+    from model error."""
+    index = np.flatnonzero(truth.mask)
+    theta = truth.theta.ravel()[index]
     rs, rp = fresnel_reflectance(theta, scene.material.m, scene.material.kappa)
-    total = sample_bilinear(pattern, np.where(np.isfinite(truth.display_ij), truth.display_ij, 0.0))
-    total = np.where(truth.mask, total, 0.0) * 0.5 * (rs + rp)
-    rho = dop_model(theta, scene.material, scene.dop_model)
-    aolp = aolp_of(scene, truth)
+    aolp = aolp_of(scene, truth).ravel()[index]
+    return RenderPlan(
+        shape=truth.mask.shape,
+        index=index,
+        display_ij=truth.display_ij.reshape(-1, 2)[index],
+        reflectance=0.5 * (rs + rp),
+        rho=dop_model(theta, scene.material, scene.dop_model),
+        cos2=np.cos(2.0 * (CHANNEL_ANGLES[:, None] - aolp)),
+    )
+
+
+def render_frame(plan: RenderPlan, pattern: np.ndarray) -> list[np.ndarray]:
+    """Noiseless four channels of one display pattern, packed as the plan."""
+    total = sample_bilinear(pattern, plan.display_ij) * plan.reflectance
     mean = total / 2.0
-    amp = total * rho / 2.0
-    return [
-        np.where(truth.mask, mean + amp * np.cos(2.0 * (a - aolp)), 0.0)
-        for a in CHANNEL_ANGLES
-    ]
+    amp = total * plan.rho / 2.0
+    return [mean + amp * c for c in plan.cos2]
 
 
-@dataclass
-class RenderedFrame:
-    pattern: PatternFrame
-    channels: list[np.ndarray]  # I000, I045, I090, I135
-
-
-def render_stack(scene: Scene, truth: GroundTruth | None = None):
+def render_stack(scene: Scene, truth: GroundTruth):
     """Render all pattern frames of the scene.
 
-    Returns (frames, report). With auto_expose the whole sequence is
-    scaled by a single gain so the brightest noiseless sample sits at
-    exposure_headroom of full scale; noise and quantization are applied
-    after exposure, per (frame, channel) noise substream.
+    Returns (frames, report). One gain scales the whole sequence so the
+    brightest noiseless sample sits at EXPOSURE_HEADROOM of full scale; a
+    scene without hit pixels keeps gain 1. The report is complete on
+    return; frames yields (PatternFrame, channels) one frame at a time,
+    each channel a full raster with noise and quantization applied after
+    exposure, per (frame, channel) noise substream.
     """
-    if truth is None:
-        truth = trace(scene)
+    plan = render_plan(scene, truth)
     patterns = generate_patterns(scene.pattern, scene.display)
-    clean = [render_frame(scene, truth, p.raster) for p in patterns]
-    peak = max((float(np.max(ch)) for frame in clean for ch in frame), default=0.0)
-    gain = scene.exposure_headroom / peak if (scene.auto_expose and peak > 0) else 1.0
-    frames = []
-    for f_idx, (pat, chans) in enumerate(zip(patterns, clean)):
-        noisy = [
-            scene.noise.apply(gain * ch, f_idx, c_idx) for c_idx, ch in enumerate(chans)
-        ]
-        frames.append(RenderedFrame(pattern=pat, channels=noisy))
+    clean = [render_frame(plan, p.raster) for p in patterns]
+    # every sample is >= 0, and 0 off the hit mask
+    peak = max((float(np.max(ch, initial=0.0)) for frame in clean for ch in frame), default=0.0)
+    gain = EXPOSURE_HEADROOM / peak if peak > 0 else 1.0
+    frames = (
+        (pattern, [scene.noise.apply(plan.raster(gain * ch), f_idx, c_idx)
+                   for c_idx, ch in enumerate(chans)])
+        for f_idx, (pattern, chans) in enumerate(zip(patterns, clean))
+    )
     report = {
-        "frames": len(frames),
+        "frames": len(patterns),
         "exposure_gain": gain,
         "peak_noiseless": peak,
         "dop_model": scene.dop_model,
         "hit_fraction": float(np.mean(truth.mask)),
     }
     return frames, report
-

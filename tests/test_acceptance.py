@@ -28,7 +28,7 @@ from poldefl.polarization import (
     stokes_from_quad,
 )
 from poldefl.reconstruct import Status, fuse_map, fuse_pixel
-from poldefl.simulator import aolp_of, render_frame, render_stack, trace
+from poldefl.simulator import aolp_of, render_frame, render_plan, render_stack, trace
 
 SIZE = 512
 STEEL = MATERIAL_PRESETS["bearing-ball-steel"]
@@ -190,9 +190,9 @@ class TestCriterion5PropertySuites:
         to_d /= np.linalg.norm(to_d, axis=-1, keepdims=True)
         refl_res = float(np.nanmax(
             np.linalg.norm(refl - to_d, axis=-1)[truth.mask]))
-        chans = render_frame(scene, truth,
-                             np.ones((scene.display.height, scene.display.width)))
-        est = stokes_from_quad(*chans)
+        plan = render_plan(scene, truth)
+        chans = render_frame(plan, np.ones((scene.display.height, scene.display.width)))
+        est = stokes_from_quad(*(plan.raster(ch) for ch in chans))
         pred = aolp_of(scene, truth)
         aolp_sel = truth.mask & est.valid & (est.dop > 1e-3)
         aolp_res = float(np.max(np.abs(
@@ -207,9 +207,9 @@ class TestCriterion5PropertySuites:
         a, _ = render_stack(small, tr)
         b, _ = render_stack(small, tr)
         identical = all(
-            np.array_equal(ca, cb)
-            for fa, fb in zip(a, b)
-            for ca, cb in zip(fa.channels, fb.channels)
+            np.array_equal(xa, xb)
+            for (_, ca), (_, cb) in zip(a, b, strict=True)
+            for xa, xb in zip(ca, cb)
         )
         results.append(("determinism", identical, "bit-identical rerun"))
 

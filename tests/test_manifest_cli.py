@@ -140,7 +140,9 @@ MANIFEST_FAULTS = [
     ("sigma-nan", _ball, lambda d: _set(d, ["noise", "sigma"], NAN),
      "$.noise.sigma: must be finite"),
     ("headroom-nan", _ball, lambda d: _set(d, ["render", "exposure_headroom"], NAN),
-     "$.render.exposure_headroom: must be finite"),
+     "$.render.exposure_headroom: unknown key"),
+    ("auto-expose", _ball, lambda d: _set(d, ["render", "auto_expose"], True),
+     "$.render.auto_expose: unknown key"),
     ("freq-low", _ball, lambda d: _set(d, ["pattern", "freq_low"], 2),
      "$.pattern.freq_low: unknown key"),
     ("surface-unknown-key", _ball, lambda d: _set(d, ["surface", "colour"], "red"),

@@ -27,8 +27,10 @@ from poldefl.simulator import (
     Plane,
     Scene,
     Sphere,
+    EXPOSURE_HEADROOM,
     aolp_of,
     render_frame,
+    render_plan,
     render_stack,
     sample_bilinear,
     trace,
@@ -52,6 +54,12 @@ def _ridge():
     h = (np.exp(-xs**2 / 0.5) - 3.0 * np.exp(-((xs - 4.0) / 2.0) ** 2)
          + 3.0 * np.exp(-((xs - 10.0) / 1.5) ** 2))
     return HeightField(x0=-10.0, y0=-2.0, dx=0.25, dy=1.0, z_grid=np.tile(h, (5, 1)))
+
+
+def _render(scene, truth, pattern):
+    """Noiseless full-raster channels of one display pattern."""
+    plan = render_plan(scene, truth)
+    return [plan.raster(ch) for ch in render_frame(plan, pattern)]
 
 
 def _coplanar_display():
@@ -273,9 +281,8 @@ class TestSurfaces:
 
 class TestRenderFrame:
     def _stokes(self, scene, truth, pattern_value=1.0):
-        h, w = truth.mask.shape
         pattern = np.full((scene.display.height, scene.display.width), pattern_value)
-        chans = render_frame(scene, truth, pattern)
+        chans = _render(scene, truth, pattern)
         return chans, stokes_from_quad(*chans)
 
     def test_measured_dop_matches_model(self, ball_truth):
@@ -319,13 +326,16 @@ class TestRenderFrame:
         truth = trace(scene)
         cy = cx = n // 2
         assert truth.mask[cy, cx] and truth.theta[cy, cx] < 1e-3
-        chans = render_frame(scene, truth, np.ones((100, 100)))
+        chans = _render(scene, truth, np.ones((100, 100)))
         vals = [c[cy, cx] for c in chans]
         assert np.ptp(vals) < 1e-6 * max(vals)
 
-    def test_brewster_reads_full_polarization(self):
+    @pytest.mark.parametrize("model", ["exact", None])
+    def test_brewster_reads_full_polarization(self, model):
         """Dielectric mirror tilted so the principal ray hits at Brewster
-        incidence: the p channel vanishes and the measured DoP is 1."""
+        incidence: the p channel vanishes and the measured DoP is 1. A
+        scene that leaves the DoP model unset renders the material's
+        (eq5 for a dielectric, which is exact there)."""
         m = 1.5
         beta = np.arctan(m)
         n_vec = np.array([-np.sin(beta), 0.0, -np.cos(beta)])
@@ -338,35 +348,48 @@ class TestRenderFrame:
             interval=WorkingDistanceInterval(1.0, 1000.0),
             surface=Plane(point=np.array([0.0, 0.0, 100.0]), normal=n_vec),
             material=MaterialOpticalProperties(m=m, kappa=0.0),
-            dop_model="exact",
+            dop_model=model,
         )
+        assert scene.dop_model == (model or "eq5")
         truth = trace(scene)
         # the pixel closest to Brewster incidence (DoP falls off
         # quadratically in theta - beta, so use the best sample)
         dev = np.where(truth.mask, np.abs(truth.theta - beta), np.inf)
         cy, cx = np.unravel_index(np.argmin(dev), dev.shape)
         assert dev[cy, cx] < 5e-3
-        chans = render_frame(scene, truth, np.ones((100, 100)))
+        chans = _render(scene, truth, np.ones((100, 100)))
         est = stokes_from_quad(*chans)
         assert est.dop[cy, cx] > 0.999
         assert est.i_min[cy, cx] < 1e-4 * est.i_max[cy, cx]
 
     def test_misses_render_zero(self, ball_truth):
         scene, truth = ball_truth
-        chans = render_frame(scene, truth, np.ones((scene.display.height,
-                                                    scene.display.width)))
+        plan = render_plan(scene, truth)
+        np.testing.assert_array_equal(plan.index, np.flatnonzero(truth.mask))
+        chans = render_frame(plan, np.ones((scene.display.height, scene.display.width)))
         for ch in chans:
-            assert np.all(ch[~truth.mask] == 0.0)
+            assert ch.shape == plan.index.shape and np.all(ch > 0.0)
+            assert np.all(plan.raster(ch)[~truth.mask] == 0.0)
 
 
 class TestRenderStack:
     def test_auto_exposure_headroom(self, ball_truth):
         scene, truth = ball_truth
         frames, report = render_stack(scene, truth)
-        peak = max(float(np.max(ch)) for f in frames for ch in f.channels)
-        assert np.isclose(peak, scene.exposure_headroom, atol=1e-9)
+        frames = list(frames)
+        peak = max(float(np.max(ch)) for _, chans in frames for ch in chans)
+        assert np.isclose(peak, EXPOSURE_HEADROOM, atol=1e-9)
         assert report["frames"] == len(frames)
         assert 0 < report["hit_fraction"] < 1
+
+    def test_no_hit_pixel_keeps_unit_gain(self, ball_truth):
+        scene, truth = ball_truth
+        from dataclasses import replace
+        blind = replace(truth, mask=np.zeros_like(truth.mask))
+        frames, report = render_stack(scene, blind)
+        assert report["peak_noiseless"] == 0.0 and report["exposure_gain"] == 1.0
+        for _, chans in frames:
+            assert all(ch.shape == truth.mask.shape and not ch.any() for ch in chans)
 
     def test_deterministic_bit_identical(self, ball_truth):
         scene, truth = ball_truth
@@ -374,16 +397,16 @@ class TestRenderStack:
         noisy_scene = replace(scene, noise=NoiseModel(sigma=0.01, seed=42))
         a, _ = render_stack(noisy_scene, truth)
         b, _ = render_stack(noisy_scene, truth)
-        for fa, fb in zip(a, b):
-            for ca, cb in zip(fa.channels, fb.channels):
-                np.testing.assert_array_equal(ca, cb)
+        for (_, ca), (_, cb) in zip(a, b, strict=True):
+            for xa, xb in zip(ca, cb):
+                np.testing.assert_array_equal(xa, xb)
 
     def test_seed_changes_noise_not_truth(self, ball_truth):
         scene, truth = ball_truth
         from dataclasses import replace
         a, _ = render_stack(replace(scene, noise=NoiseModel(sigma=0.01, seed=1)), truth)
         b, _ = render_stack(replace(scene, noise=NoiseModel(sigma=0.01, seed=2)), truth)
-        assert not np.array_equal(a[0].channels[0], b[0].channels[0])
+        assert not np.array_equal(next(a)[1][0], next(b)[1][0])
         t2 = trace(scene)
         np.testing.assert_array_equal(truth.mask, t2.mask)
         np.testing.assert_array_equal(truth.depth, t2.depth)
