@@ -2,7 +2,7 @@
 
 Subcommands: simulate, reconstruct, evaluate, reproduce. Exit codes:
 0 success, 2 configuration error (bad manifest/arguments), 3 data error
-(missing or inconsistent inputs).
+(missing, inconsistent or unusable inputs: no solved pixel, none to score).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .manifest import ManifestError, load_manifest
+from .metrics import MetricError
 from .pfmio import IOFormatError
 
 
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
     except ManifestError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (pipeline.DataError, IOFormatError, FileNotFoundError) as e:
+    except (pipeline.DataError, MetricError, IOFormatError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     return 0

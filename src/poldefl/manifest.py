@@ -84,8 +84,12 @@ _vec3, _matrix3, _grid = _array(3), _array(3, 3), _array(None, None)
 
 
 def _axes(value, path) -> tuple:
+    """Both display axes, each once: the decode needs a u and a v phase."""
     axis = _one_of("u", "v")
-    return tuple(axis(a, f"{path}[{i}]") for i, a in enumerate(_is(list, "a list")(value, path)))
+    axes = tuple(axis(a, f"{path}[{i}]") for i, a in enumerate(_is(list, "a list")(value, path)))
+    if sorted(axes) != ["u", "v"]:
+        raise ManifestError(f'{path}: must hold "u" and "v" once each')
+    return axes
 
 
 def _fields(doc, table: dict, path: str) -> dict:
@@ -101,6 +105,8 @@ def _fields(doc, table: dict, path: str) -> dict:
             value = out[name] = read(doc[name], where)
             if bound and not (value > bound[1] if bound[0] == ">" else value >= bound[1]):
                 raise ManifestError(f"{where}: must be {bound[0]} {bound[1]}")
+            if bound and bound[2:] and value > bound[2]:
+                raise ManifestError(f"{where}: must be <= {bound[2]}")
         elif required:
             raise ManifestError(f"{where}: required")
     return out
@@ -118,16 +124,26 @@ def _block(cls, table: dict):
     return read
 
 
+# Upper bounds on sizes, so that no manifest makes simulate allocate
+# without end. 2448x2048 and 4096x3000 polarization sensors and an 8K
+# display (7680x4320) fit, and one float64 raster stays <= 512 MB. Phase
+# noise falls only as 1/sqrt(steps) while each step adds four frames (two
+# axes, two frequencies); 32 is four times the built-in 8.
+MAX_SENSOR_SIDE = 8192
+MAX_DISPLAY_SIDE = 8192
+MAX_PHASE_STEPS = 32
+
 # Field tables, one per block: name -> (reader, required, bound), where
-# bound is (">", x) or (">=", x) on a number. An absent optional field
-# takes the default of the dataclass that its block builds.
+# bound is (">", x) or (">=", x) on a number, optionally with an upper
+# limit as a third item: (">=", x, y) also requires <= y. An absent
+# optional field takes the default of the dataclass that its block builds.
 CAMERA = {
     "fx": (_number, True, (">", 0)),
     "fy": (_number, True, (">", 0)),
     "cx": (_number, True, None),
     "cy": (_number, True, None),
-    "width": (_integer, True, (">=", 1)),
-    "height": (_integer, True, (">=", 1)),
+    "width": (_integer, True, (">=", 1, MAX_SENSOR_SIDE)),
+    "height": (_integer, True, (">=", 1, MAX_SENSOR_SIDE)),
     "rotation": (_matrix3, False, None),
     "translation": (_vec3, False, None),
 }
@@ -136,8 +152,8 @@ DISPLAY = {
     "u": (_vec3, True, None),
     "v": (_vec3, True, None),
     "pitch": (_number, True, (">", 0)),
-    "width": (_integer, True, (">=", 1)),
-    "height": (_integer, True, (">=", 1)),
+    "width": (_integer, True, (">=", 1, MAX_DISPLAY_SIDE)),
+    "height": (_integer, True, (">=", 1, MAX_DISPLAY_SIDE)),
 }
 WORKING_DISTANCE = {
     "s_min": (_number, True, (">", 0)),
@@ -146,7 +162,7 @@ WORKING_DISTANCE = {
 PATTERN = {
     "kind": (_one_of("phase-shift", "cross-sinusoid"), False, None),
     "axes": (_axes, False, None),
-    "steps": (_integer, False, (">=", 3)),
+    "steps": (_integer, False, (">=", 3, MAX_PHASE_STEPS)),
     "freq": (_number, False, (">", 0)),
     "f_u": (_number, False, (">", 0)),
     "f_v": (_number, False, (">", 0)),
@@ -246,6 +262,31 @@ def load_manifest(path) -> dict:
 # Built-in scenes
 
 
+def _desk_rig(size: int, display_y: float) -> dict:
+    """The blocks the built-in scenes share: a size x size camera at the
+    origin looking +z and an 800x600 display overhead, facing down."""
+    return {
+        "units": "mm",
+        "camera": {
+            "fx": 1.855 * size,
+            "fy": 1.855 * size,
+            "cx": size / 2 - 0.5,
+            "cy": size / 2 - 0.5,
+            "width": size,
+            "height": size,
+        },
+        "display": {
+            "origin": [-100.0, display_y, -20.0],
+            "u": [1.0, 0.0, 0.0],
+            "v": [0.0, 0.0, 1.0],
+            "pitch": 0.25,
+            "width": 800,
+            "height": 600,
+        },
+        "working_distance": {"s_min": 25.0, "s_max": 200.0},
+    }
+
+
 def bearing_ball_manifest(
     size: int = 512,
     sigma: float = 0.0,
@@ -268,24 +309,7 @@ def bearing_ball_manifest(
     pattern.update({"mean": 0.7, "depth": 0.25})
     return {
         "comment": "invented desk-scale stand-in for the physical rig",
-        "units": "mm",
-        "camera": {
-            "fx": 1.855 * size,
-            "fy": 1.855 * size,
-            "cx": size / 2 - 0.5,
-            "cy": size / 2 - 0.5,
-            "width": size,
-            "height": size,
-        },
-        "display": {
-            "origin": [-100.0, 60.0, -20.0],
-            "u": [1.0, 0.0, 0.0],
-            "v": [0.0, 0.0, 1.0],
-            "pitch": 0.25,
-            "width": 800,
-            "height": 600,
-        },
-        "working_distance": {"s_min": 25.0, "s_max": 200.0},
+        **_desk_rig(size, display_y=60.0),
         "surface": {"kind": "sphere", "center": [0.0, 0.0, 48.0], "radius": 12.7},
         "material": "bearing-ball-steel",
         "pattern": pattern,
@@ -313,24 +337,7 @@ def qualitative_heightfield_manifest(name: str = "horse", size: int = 256, seed:
     z = 46.0 + 14.0 * yy + 1.2 * z / np.max(np.abs(z))
     return {
         "comment": f"qualitative procedural stand-in object '{name}'",
-        "units": "mm",
-        "camera": {
-            "fx": 1.855 * size,
-            "fy": 1.855 * size,
-            "cx": size / 2 - 0.5,
-            "cy": size / 2 - 0.5,
-            "width": size,
-            "height": size,
-        },
-        "display": {
-            "origin": [-100.0, 85.0, -20.0],
-            "u": [1.0, 0.0, 0.0],
-            "v": [0.0, 0.0, 1.0],
-            "pitch": 0.25,
-            "width": 800,
-            "height": 600,
-        },
-        "working_distance": {"s_min": 25.0, "s_max": 200.0},
+        **_desk_rig(size, display_y=85.0),
         "surface": {
             "kind": "heightfield",
             "x0": -14.0,

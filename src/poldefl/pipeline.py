@@ -30,10 +30,9 @@ class DataError(ValueError):
     """Missing or inconsistent input data on disk."""
 
 
-# Validity thresholds as fractions of the sensor full scale (the exposure
-# puts the brightest noiseless sample at simulator.EXPOSURE_HEADROOM =
-# 0.95): unlit pixels, and pixels whose fringe amplitude is at the noise
-# floor.
+# Validity thresholds as fractions of the sensor full scale, where the
+# brightest noiseless sample sits at simulator.EXPOSURE_HEADROOM (0.95):
+# unlit pixels, and pixels whose fringe amplitude is at the noise floor.
 DARK_THRESHOLD = 0.05
 MODULATION_THRESHOLD = 0.02
 
@@ -237,6 +236,9 @@ def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
         dop_model=model, strict_dop=strict_dop,
     )
     record.stage("fuse")
+    counts = stats["counts"]
+    if not any(counts[k] for k in ("ok", "both_feasible", "saturated_dop")):
+        raise DataError(f"{in_dir}: no pixel has a depth (status counts {counts})")
 
     export_geometry(solution, out)
     write_pfm(out / "dop.pfm", stokes.dop)
@@ -297,6 +299,8 @@ def evaluate(solution_dir, truth_dir, out_dir=None) -> dict:
     points = scene.camera.center + est_depth[..., None] * rays
     true_radius = scene.surface.radius if isinstance(scene.surface, Sphere) else None
     counts = {s.name.lower(): int(np.sum(status == s)) for s in Status}
+    if not mask.any():
+        raise DataError(f"{sol}: no OK pixel to evaluate (status counts {counts})")
     report = evaluate_maps(
         est_norm, est_depth, points, tr_norm, tr_depth, mask, scene.camera,
         status_counts=counts, true_radius=true_radius,

@@ -307,27 +307,16 @@ def trace(scene: Scene) -> GroundTruth:
     origin = cam.center
     t, points, normals = scene.surface.intersect(origin, rays)
     mask = np.isfinite(t)
-    mask &= scene.interval.contains(np.where(mask, t, 0.0)) & np.isfinite(t)
-    # surface must face the camera
-    facing = geo.dot(normals, -rays) > 1e-9
-    mask &= facing
+    mask &= scene.interval.contains(np.where(mask, t, 0.0))
+    mask &= geo.dot(normals, -rays) > 1e-9  # the surface faces the camera
 
     refl = geo.reflect(rays, normals)
     t_d, plane_hit = scene.display.intersect_ray(points, refl)
     d_points = points + np.where(np.isfinite(t_d), t_d, 0.0)[..., None] * refl
     ij = scene.display.point_to_index(d_points)
-    on_display = (
-        plane_hit
-        & (ij[..., 0] >= 0)
-        & (ij[..., 0] <= scene.display.width)
-        & (ij[..., 1] >= 0)
-        & (ij[..., 1] <= scene.display.height)
-    )
-    mask &= on_display
-
-    view = -rays
-    cos_theta = np.clip(geo.dot(view, normals), -1.0, 1.0)
-    theta = np.arccos(cos_theta)
+    extent = (scene.display.width, scene.display.height)
+    mask &= plane_hit & np.all((ij >= 0) & (ij <= extent), axis=-1)
+    theta = np.arccos(np.clip(geo.dot(-rays, normals), -1.0, 1.0))
 
     nanify = lambda a: np.where(mask[..., None] if a.ndim == 3 else mask, a, np.nan)
     return GroundTruth(
@@ -387,17 +376,11 @@ EXPOSURE_HEADROOM = 0.95
 
 @dataclass(frozen=True)
 class RenderPlan:
-    """What rendering needs of a traced scene, computed once. Arrays are
-    packed: entry k belongs to the hit pixel at flat raster index index[k].
+    """Per hit pixel, in the mask's order: display coordinates (n, 2), the
+    reflectance (R_s + R_p)/2, the DoP and cos(2*(a - aolp)) per
+    CHANNEL_ANGLES (4, n)."""
 
-    display_ij: the display coordinates each pixel sees, (n, 2);
-    reflectance: the unpolarized reflectance (R_s + R_p) / 2;
-    rho: the DoP of scene.dop_model;
-    cos2: cos(2*(a - aolp)) for each of CHANNEL_ANGLES, (4, n).
-    """
-
-    shape: tuple[int, int]
-    index: np.ndarray
+    mask: np.ndarray
     display_ij: np.ndarray
     reflectance: np.ndarray
     rho: np.ndarray
@@ -405,27 +388,23 @@ class RenderPlan:
 
     def raster(self, packed: np.ndarray) -> np.ndarray:
         """The packed values at their pixels of a raster that is 0 elsewhere."""
-        out = np.zeros(self.shape)
-        out.flat[self.index] = packed
+        out = np.zeros(self.mask.shape)
+        out[self.mask] = packed
         return out
 
 
 def render_plan(scene: Scene, truth: GroundTruth) -> RenderPlan:
-    """The plan of the scene's hit pixels. The total reflected power always
-    follows the exact Fresnel reflectances; the synthesized DoP follows
-    scene.dop_model so the model-matched modes isolate pipeline numerics
-    from model error."""
-    index = np.flatnonzero(truth.mask)
-    theta = truth.theta.ravel()[index]
-    rs, rp = fresnel_reflectance(theta, scene.material.m, scene.material.kappa)
-    aolp = aolp_of(scene, truth).ravel()[index]
+    """The scene's plan, computed once. The reflected power always follows
+    the exact Fresnel reflectances; the DoP follows scene.dop_model so the
+    model-matched modes isolate pipeline numerics from model error."""
+    hit = truth.mask
+    rs, rp = fresnel_reflectance(truth.theta[hit], scene.material.m, scene.material.kappa)
     return RenderPlan(
-        shape=truth.mask.shape,
-        index=index,
-        display_ij=truth.display_ij.reshape(-1, 2)[index],
+        mask=hit,
+        display_ij=truth.display_ij[hit],
         reflectance=0.5 * (rs + rp),
-        rho=dop_model(theta, scene.material, scene.dop_model),
-        cos2=np.cos(2.0 * (CHANNEL_ANGLES[:, None] - aolp)),
+        rho=dop_model(truth.theta[hit], scene.material, scene.dop_model),
+        cos2=np.cos(2.0 * (CHANNEL_ANGLES[:, None] - aolp_of(scene, truth)[hit])),
     )
 
 
@@ -438,14 +417,12 @@ def render_frame(plan: RenderPlan, pattern: np.ndarray) -> list[np.ndarray]:
 
 
 def render_stack(scene: Scene, truth: GroundTruth):
-    """Render all pattern frames of the scene.
+    """Render all pattern frames of the scene: (frames, report).
 
-    Returns (frames, report). One gain scales the whole sequence so the
-    brightest noiseless sample sits at EXPOSURE_HEADROOM of full scale; a
-    scene without hit pixels keeps gain 1. The report is complete on
-    return; frames yields (PatternFrame, channels) one frame at a time,
-    each channel a full raster with noise and quantization applied after
-    exposure, per (frame, channel) noise substream.
+    One gain scales the sequence so its brightest noiseless sample sits at
+    EXPOSURE_HEADROOM (gain 1 without hit pixels). frames yields
+    (PatternFrame, channels) one at a time, each channel a full raster
+    with noise applied after exposure, per (frame, channel) substream.
     """
     plan = render_plan(scene, truth)
     patterns = generate_patterns(scene.pattern, scene.display)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -76,6 +77,36 @@ class TestManifest:
         doc["material"] = "nonexistium"
         with pytest.raises(ManifestError):
             validate_manifest(doc)
+
+    def test_dop_model_defaults_to_the_material(self):
+        doc = bearing_ball_manifest(size=SMALL)
+        del doc["render"]
+        assert validate_manifest(doc).dop_model == "eq6"
+        doc["material"] = {"m": 1.5}
+        assert validate_manifest(doc).dop_model == "eq5"
+
+    @pytest.mark.parametrize("path, value, message", [
+        (["pattern", "steps"], 2**62, "$.pattern.steps: must be <= 32"),
+        (["pattern", "steps"], 33, "$.pattern.steps: must be <= 32"),
+        (["camera", "width"], 2**40, "$.camera.width: must be <= 8192"),
+        (["camera", "height"], 8193, "$.camera.height: must be <= 8192"),
+        (["display", "width"], 2**40, "$.display.width: must be <= 8192"),
+        (["display", "height"], 10**6, "$.display.height: must be <= 8192"),
+    ])
+    def test_sizes_have_upper_bounds(self, path, value, message):
+        doc = bearing_ball_manifest(size=SMALL)
+        _set(doc, path, value)
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            validate_manifest(doc)
+
+    def test_size_bounds_admit_sensor_and_display_scale(self):
+        doc = bearing_ball_manifest(size=SMALL)
+        doc["camera"].update(width=2448, height=2048, cx=1223.5, cy=1023.5)
+        doc["display"].update(width=7680, height=4320)
+        doc["pattern"]["steps"] = 32
+        scene = validate_manifest(doc)
+        assert (scene.camera.width, scene.camera.height) == (2448, 2048)
+        assert scene.pattern.steps == 32
 
     def test_inline_material(self):
         mat = material_from({"m": 1.5})
@@ -165,6 +196,14 @@ MANIFEST_FAULTS = [
      "$.pattern.steps: must be an integer"),
     ("pattern-axis-unknown", _ball, lambda d: _set(d, ["pattern", "axes"], ["u", "w"]),
      "$.pattern.axes[1]: must be one of"),
+    ("pattern-axes-empty", _ball, lambda d: _set(d, ["pattern", "axes"], []),
+     '$.pattern.axes: must hold "u" and "v" once each'),
+    ("pattern-axes-u", _ball, lambda d: _set(d, ["pattern", "axes"], ["u"]),
+     '$.pattern.axes: must hold "u" and "v" once each'),
+    ("pattern-axes-u-u", _ball, lambda d: _set(d, ["pattern", "axes"], ["u", "u"]),
+     '$.pattern.axes: must hold "u" and "v" once each'),
+    ("pattern-steps-2**62", _ball, lambda d: _set(d, ["pattern", "steps"], 2**62),
+     "$.pattern.steps: must be <= 32"),
     ("rotation-not-orthonormal", _ball,
      lambda d: _set(d, ["camera", "rotation"], [[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
      "$.camera: rotation must be orthonormal"),
@@ -305,6 +344,36 @@ class TestCli:
         assert cli.main(["evaluate", str(tmp_path / "a"), str(tmp_path / "b")]) \
             == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("ok_pixels, message", [
+        (0, "{sol}: no OK pixel to evaluate (status counts"),
+        (3, "sphere fit needs at least 4 points"),  # a MetricError
+    ])
+    def test_nothing_to_evaluate_is_data_error(self, cli_sim_dir, tmp_path, capsys,
+                                               ok_pixels, message):
+        sol = tmp_path / "sol"
+        assert cli.main(["reconstruct", str(cli_sim_dir), "--mode", "multi",
+                         "--out", str(sol)]) == 0
+        status = read_pfm(sol / "status.pfm")
+        ok = np.argwhere(status == 0)[:ok_pixels]
+        status[...] = 2  # BOTH_FEASIBLE: solved, but not scored
+        status[tuple(ok.T)] = 0
+        write_pfm(sol / "status.pfm", status)
+        capsys.readouterr()
+        assert cli.main(["evaluate", str(sol), str(cli_sim_dir / "truth")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {message.format(sol=sol)}"), err
+
+    def test_axes_in_either_order_run_end_to_end(self, tmp_path):
+        doc = bearing_ball_manifest(size=SMALL)
+        doc["pattern"]["axes"] = ["v", "u"]
+        man = _write_manifest(tmp_path, doc)
+        run = tmp_path / "run"
+        assert cli.main(["simulate", "--manifest", str(man), "--out", str(run)]) == 0
+        assert cli.main(["reconstruct", str(run), "--mode", "multi"]) == 0
+        assert cli.main(["evaluate", str(run / "solution"), str(run / "truth")]) == 0
+        report = json.loads((run / "solution" / "report.json").read_text())
+        assert report["status_counts"]["ok"] > 0 and report["normal_rmse_deg"] < 0.05
+
     def test_mode_mismatch_is_data_error(self, cli_sim_dir, tmp_path):
         # multi-shot frames, single-shot decode requested: explicit error
         code = cli.main(["reconstruct", str(cli_sim_dir), "--mode", "single",
@@ -324,8 +393,12 @@ class TestCli:
          "f000_I000.pfm"),
         (lambda run: _edit_raster(run / "frames" / "f007_I135.pfm", (40, 51), np.inf),
          "f007_I135.pfm"),
+        (lambda run: [write_pfm(p, np.zeros((SMALL, SMALL)))
+                      for p in (run / "frames").glob("*.pfm")],
+         "no pixel has a depth (status counts {'ok': 0,"),
     ], ids=["truncated-json", "entry-without-files", "file-not-a-path", "entry-not-an-object",
-            "pattern-without-step", "raster-shape", "all-nan-raster", "one-inf-sample"])
+            "pattern-without-step", "raster-shape", "all-nan-raster", "one-inf-sample",
+            "all-frames-zero"])
     def test_bad_frame_data_is_data_error(self, cli_sim_dir, tmp_path, capsys, damage, named):
         run = tmp_path / "run"
         shutil.copytree(cli_sim_dir, run)

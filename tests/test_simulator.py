@@ -365,10 +365,9 @@ class TestRenderFrame:
     def test_misses_render_zero(self, ball_truth):
         scene, truth = ball_truth
         plan = render_plan(scene, truth)
-        np.testing.assert_array_equal(plan.index, np.flatnonzero(truth.mask))
         chans = render_frame(plan, np.ones((scene.display.height, scene.display.width)))
         for ch in chans:
-            assert ch.shape == plan.index.shape and np.all(ch > 0.0)
+            assert ch.shape == (truth.mask.sum(),) and np.all(ch > 0.0)
             assert np.all(plan.raster(ch)[~truth.mask] == 0.0)
 
 
