@@ -78,13 +78,6 @@ class TestManifest:
         with pytest.raises(ManifestError):
             validate_manifest(doc)
 
-    def test_dop_model_defaults_to_the_material(self):
-        doc = bearing_ball_manifest(size=SMALL)
-        del doc["render"]
-        assert validate_manifest(doc).dop_model == "eq6"
-        doc["material"] = {"m": 1.5}
-        assert validate_manifest(doc).dop_model == "eq5"
-
     @pytest.mark.parametrize("path, value, message", [
         (["pattern", "steps"], 2**62, "$.pattern.steps: must be <= 32"),
         (["pattern", "steps"], 33, "$.pattern.steps: must be <= 32"),

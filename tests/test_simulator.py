@@ -22,12 +22,12 @@ from poldefl.polarization import (
 )
 from poldefl.simulator import (
     CHANNEL_ANGLES,
+    EXPOSURE_HEADROOM,
     HeightField,
     NoiseModel,
     Plane,
     Scene,
     Sphere,
-    EXPOSURE_HEADROOM,
     aolp_of,
     render_frame,
     render_plan,
@@ -330,37 +330,37 @@ class TestRenderFrame:
         vals = [c[cy, cx] for c in chans]
         assert np.ptp(vals) < 1e-6 * max(vals)
 
-    @pytest.mark.parametrize("model", ["exact", None])
-    def test_brewster_reads_full_polarization(self, model):
+    def test_brewster_reads_full_polarization(self):
         """Dielectric mirror tilted so the principal ray hits at Brewster
-        incidence: the p channel vanishes and the measured DoP is 1. A
-        scene that leaves the DoP model unset renders the material's
-        (eq5 for a dielectric, which is exact there)."""
+        incidence: the p channel vanishes and the measured DoP is 1, with
+        the exact model and with the model left unset (the dielectric's
+        eq5, which is exact there)."""
+        from dataclasses import replace
         m = 1.5
         beta = np.arctan(m)
         n_vec = np.array([-np.sin(beta), 0.0, -np.cos(beta)])
         disp = DisplayPlane(origin=np.array([-100.0, -50.0, 60.0]),
                             u=np.array([0.0, 1.0, 0.0]), v=np.array([0.0, 0.0, 1.0]),
                             pitch=1.0, width=100, height=100)
-        scene = Scene(
+        unset = Scene(
             camera=_cam(16),
             display=disp,
             interval=WorkingDistanceInterval(1.0, 1000.0),
             surface=Plane(point=np.array([0.0, 0.0, 100.0]), normal=n_vec),
             material=MaterialOpticalProperties(m=m, kappa=0.0),
-            dop_model=model,
         )
-        assert scene.dop_model == (model or "eq5")
-        truth = trace(scene)
+        assert unset.dop_model == "eq5"
+        truth = trace(unset)
         # the pixel closest to Brewster incidence (DoP falls off
         # quadratically in theta - beta, so use the best sample)
         dev = np.where(truth.mask, np.abs(truth.theta - beta), np.inf)
         cy, cx = np.unravel_index(np.argmin(dev), dev.shape)
         assert dev[cy, cx] < 5e-3
-        chans = _render(scene, truth, np.ones((100, 100)))
-        est = stokes_from_quad(*chans)
-        assert est.dop[cy, cx] > 0.999
-        assert est.i_min[cy, cx] < 1e-4 * est.i_max[cy, cx]
+        for scene in (replace(unset, dop_model="exact"), unset):
+            chans = _render(scene, truth, np.ones((100, 100)))
+            est = stokes_from_quad(*chans)
+            assert est.dop[cy, cx] > 0.999, scene.dop_model
+            assert est.i_min[cy, cx] < 1e-4 * est.i_max[cy, cx]
 
     def test_misses_render_zero(self, ball_truth):
         scene, truth = ball_truth
