@@ -4,7 +4,9 @@
 Each scene is simulated, reconstructed and evaluated in a temporary
 directory. Its fingerprint holds the status counts, the sha256 of
 `solution/status.pfm` and of each `truth/*.pfm`, one sha256 over all
-frame rasters in index order, and the normal and depth RMSE.
+frame rasters in index order, and the normal and depth RMSE. The scene
+named by BASELINE_SCENE is reconstructed with the orthographic baseline
+on and also stores the sha256 of `solution/orthographic_best.pfm`.
 `tests/test_fingerprints.py` recomputes them and compares with the stored
 file: the hashes must match exactly, the two RMSEs within REL_TOL.
 
@@ -28,6 +30,7 @@ from poldefl.simulator import CHANNEL_NAMES
 
 FILE = Path(__file__).resolve().parents[1] / "tests" / "fingerprints.json"
 REL_TOL = 1e-9  # on normal_rmse_deg and depth_rmse_mm
+BASELINE_SCENE = "ball-multi-noise-64"
 
 
 def _dielectric_ball():
@@ -51,15 +54,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def fingerprint(doc: dict, mode: str, root: Path) -> dict:
+def fingerprint(doc: dict, mode: str, root: Path, with_baseline: bool = False) -> dict:
     pipeline.simulate(doc, root)
-    pipeline.reconstruct(root, mode)
+    pipeline.reconstruct(root, mode, with_baseline=with_baseline)
     report = pipeline.evaluate(root / "solution", root / "truth")["report"]
     frames = hashlib.sha256()
     for entry in json.loads((root / "frames" / "frames.json").read_text()):
         for name in CHANNEL_NAMES:
             frames.update((root / entry["files"][name]).read_bytes())
-    return {
+    out = {
         "status_counts": report.status_counts,
         "status_sha256": _sha256(root / "solution" / "status.pfm"),
         "truth_sha256": {p.name: _sha256(p) for p in sorted((root / "truth").glob("*.pfm"))},
@@ -67,11 +70,15 @@ def fingerprint(doc: dict, mode: str, root: Path) -> dict:
         "normal_rmse_deg": report.normal_rmse_deg,
         "depth_rmse_mm": report.depth_rmse_mm,
     }
+    if with_baseline:
+        out["baseline_sha256"] = _sha256(root / "solution" / "orthographic_best.pfm")
+    return out
 
 
 def compute() -> dict:
     with tempfile.TemporaryDirectory(prefix="fingerprints_") as tmp:
-        scenes = {name: fingerprint(build(), mode, Path(tmp) / name)
+        scenes = {name: fingerprint(build(), mode, Path(tmp) / name,
+                                    with_baseline=name == BASELINE_SCENE)
                   for name, (build, mode) in SCENES.items()}
     return {"rel_tol": REL_TOL, "scenes": scenes}
 
