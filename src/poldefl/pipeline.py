@@ -229,7 +229,9 @@ def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
     # Inversion model: explicit request wins, else match the synthesis
     # model of the scene (the 'exact' Fresnel curve is unimodal too, so
     # invert_dop brackets its two branches like eq5 and eq6). The DoP is
-    # inverted once, in fuse_map; the baseline reuses its candidates.
+    # inverted once, in fuse_map, on the measurable pixels only; the
+    # baseline reuses its candidates, so it has normals on those pixels
+    # alone.
     model = dop_model or scene.dop_model
     solution, stats = fuse_map(
         stokes, corr, scene.camera, scene.display, scene.interval, scene.material,
@@ -266,7 +268,8 @@ def reconstruct(in_dir, mode: str, out_dir=None, *, strict_dop: bool = False,
         if baseline.best is not None:
             write_pfm(out / "orthographic_best.pfm", _nan_to(baseline.best))
             write_sidecar(out / "orthographic_best.pfm",
-                          {"kind": "best-case orthographic SfP normals"})
+                          {"kind": "best-case orthographic SfP normals; "
+                                   "0 where the pixel is not measurable"})
     record.stage("export")
     record.inventory(out)
     record.write(out / "run_record_reconstruct.json")

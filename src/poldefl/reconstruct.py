@@ -53,7 +53,9 @@ class SurfaceSolution:
     normals: np.ndarray
     theta: np.ndarray
     status: np.ndarray
-    candidates: IncidenceCandidates  # the DoP inverse the fusion used
+    # The DoP inverse the fusion used: NaN thetas and saturated False
+    # off the measurable pixels, where no inverse was run.
+    candidates: IncidenceCandidates
 
     @property
     def ok(self) -> np.ndarray:
@@ -91,15 +93,14 @@ def solve_depth_for_theta(
     return np.where(feasible, s, np.nan)
 
 
-def _fuse(rho, D, rays, measurable, origin, interval, mat, dop_model, tol_theta,
-          strict_dop):
-    """The one fusion path: DoP inverse, depth per branch, status and
-    normals for every ray (any leading shape). Returns the solution and
-    the per-branch depths (s_low, s_high)."""
+def _fuse(rho, D, rays, origin, interval, mat, dop_model, tol_theta, strict_dop):
+    """The one fusion path, on 1-D arrays of measurable pixels: DoP
+    inverse, depth per branch, status and normals. Returns the solution
+    over those pixels and the per-branch depths (s_low, s_high)."""
     cand = invert_dop(rho, mat, tol=tol_theta, model=dop_model)
     # The strict policy takes a saturated DoP for no measurement, so its
     # clamped angles are not solved.
-    keep = measurable & ~(strict_dop & cand.saturated)
+    keep = ~(strict_dop & cand.saturated)
     theta_low = np.where(keep, cand.theta_low, np.nan)
     theta_high = np.where(keep, cand.theta_high, np.nan)
     s_low = solve_depth_for_theta(origin, rays, D, theta_low, interval)
@@ -111,14 +112,13 @@ def _fuse(rho, D, rays, measurable, origin, interval, mat, dop_model, tol_theta,
     s = np.where(low_ok, s_low, s_high)
     theta = np.where(low_ok, theta_low, theta_high)
 
-    status = np.full(measurable.shape, int(Status.INVALID_DECODE), dtype=np.int16)
-    status[measurable] = Status.NO_ROOT
-    status[measurable & solved] = Status.OK
-    status[measurable & low_ok & high_ok] = Status.BOTH_FEASIBLE
+    status = np.full(rho.shape, int(Status.NO_ROOT), dtype=np.int16)
+    status[solved] = Status.OK
+    status[low_ok & high_ok] = Status.BOTH_FEASIBLE
     if strict_dop:
-        status[measurable & cand.saturated] = Status.INVALID_DECODE
+        status[cand.saturated] = Status.INVALID_DECODE
     else:
-        status[measurable & solved & cand.saturated] = Status.SATURATED_DOP
+        status[solved & cand.saturated] = Status.SATURATED_DOP
     usable = np.isin(status, (Status.OK, Status.BOTH_FEASIBLE, Status.SATURATED_DOP))
 
     s = np.where(usable, s, np.nan)
@@ -137,6 +137,14 @@ def _fuse(rho, D, rays, measurable, origin, interval, mat, dop_model, tol_theta,
     return sol, (s_low, s_high)
 
 
+def _scatter(mask, packed, fill):
+    """Raster of mask's shape holding packed (one entry per True pixel)
+    on the mask and fill elsewhere."""
+    out = np.full(mask.shape + packed.shape[1:], fill, dtype=packed.dtype)
+    out[mask] = packed
+    return out
+
+
 def fuse_map(
     stokes: StokesEstimate,
     corr: CorrespondenceMap,
@@ -148,12 +156,14 @@ def fuse_map(
     tol_theta: float = 1e-7,
     strict_dop: bool = False,
 ):
-    """Fuse DoP and correspondence over the full raster.
+    """Fuse DoP and correspondence on the measurable pixels (a valid
+    Stokes estimate and a decoded correspondence); every other pixel is
+    INVALID_DECODE.
 
-    Returns (SurfaceSolution, stats). Feasibility filtering over the
-    working interval realizes the geometric constraints; a pixel where
-    both branches survive takes the low branch and is flagged
-    BOTH_FEASIBLE.
+    Returns (SurfaceSolution, stats) over the full raster. Feasibility
+    filtering over the working interval realizes the geometric
+    constraints; a pixel where both branches survive takes the low branch
+    and is flagged BOTH_FEASIBLE.
     """
     if stokes.dop.shape != corr.i.shape:
         raise ValueError("stokes and correspondence rasters must be co-registered")
@@ -163,10 +173,24 @@ def fuse_map(
         raise ValueError("raster dimensions do not match the camera model")
 
     measurable = stokes.valid & corr.valid
-    ij = np.stack([corr.i, corr.j], axis=-1)
-    D = disp.index_to_point(np.where(measurable[..., None], ij, 0.0))
-    sol, _ = _fuse(stokes.dop, D, rays, measurable, cam.center, interval, mat,
-                   dop_model, tol_theta, strict_dop)
+    D = disp.index_to_point(np.stack([corr.i[measurable], corr.j[measurable]], axis=-1))
+    packed, _ = _fuse(stokes.dop[measurable], D, rays[measurable], cam.center, interval,
+                      mat, dop_model, tol_theta, strict_dop)
+    cand = packed.candidates
+    sol = SurfaceSolution(
+        depth=_scatter(measurable, packed.depth, np.nan),
+        points=_scatter(measurable, packed.points, np.nan),
+        normals=_scatter(measurable, packed.normals, np.nan),
+        theta=_scatter(measurable, packed.theta, np.nan),
+        status=_scatter(measurable, packed.status, int(Status.INVALID_DECODE)),
+        candidates=IncidenceCandidates(
+            theta_low=_scatter(measurable, cand.theta_low, np.nan),
+            theta_high=_scatter(measurable, cand.theta_high, np.nan),
+            saturated=_scatter(measurable, cand.saturated, False),
+            theta_peak=cand.theta_peak,
+            rho_max=cand.rho_max,
+        ),
+    )
 
     counts = sol.counts()
     n_meas = int(np.sum(measurable))
@@ -175,8 +199,8 @@ def fuse_map(
         "measurable": n_meas,
         "counts": counts,
         "ok_fraction": counts["ok"] / n_meas if n_meas else 0.0,
-        "theta_peak": sol.candidates.theta_peak,
-        "rho_max": sol.candidates.rho_max,
+        "theta_peak": cand.theta_peak,
+        "rho_max": cand.rho_max,
     }
     return sol, stats
 
@@ -193,7 +217,7 @@ def fuse_pixel(
     tol_theta: float = 1e-7,
     strict_dop: bool = False,
 ):
-    """Fusion of one measurable pixel through the raster code path.
+    """Fusion of one measurable pixel through the code path fuse_map runs.
 
     Returns a dict with the status and the depth of each branch
     ("branches", None where infeasible); a usable pixel also carries the
@@ -203,7 +227,6 @@ def fuse_pixel(
         np.asarray([rho], dtype=np.float64),
         np.asarray(D, dtype=np.float64)[None, :],
         np.asarray(ray, dtype=np.float64)[None, :],
-        np.ones(1, dtype=bool),
         np.asarray(origin, dtype=np.float64),
         interval, mat, dop_model, tol_theta, strict_dop,
     )
@@ -251,7 +274,8 @@ def export_geometry(solution: SurfaceSolution, out_dir):
 @dataclass
 class OrthographicNormals:
     """The four orthographic-assumption normal candidates per pixel, in
-    world coordinates, plus an optional best-case selection."""
+    world coordinates, plus an optional best-case selection. Both are NaN
+    where valid is False."""
 
     candidates: np.ndarray  # (h, w, 4, 3)
     valid: np.ndarray
@@ -270,15 +294,20 @@ def orthographic_baseline(
     one fusion computed, SurfaceSolution.candidates), azimuth
     candidates alpha = aolp +/- pi/2; camera-frame normal
     (sin t cos a, sin t sin a, -cos t) (towards the camera), rotated to
-    world. The best-case map (needs truth) upper-bounds what any
-    disambiguation could achieve and isolates the orthographic error.
+    world. Only pixels with a valid Stokes estimate and finite candidates
+    get normals: fusion leaves the thetas NaN off its measurable pixels,
+    so no normal is made up there. The best-case map (needs truth)
+    upper-bounds what any disambiguation could achieve and isolates the
+    orthographic error.
     """
-    shape = stokes.dop.shape
-    cands = np.full(shape + (4, 3), np.nan)
+    valid = (stokes.valid & np.isfinite(stokes.aolp)
+             & np.isfinite(cand.theta_low) & np.isfinite(cand.theta_high))
+    aolp = stokes.aolp[valid]
+    cands = np.empty(aolp.shape + (4, 3))
     idx = 0
-    for th in (cand.theta_low, cand.theta_high):
+    for th in (cand.theta_low[valid], cand.theta_high[valid]):
         for da in (np.pi / 2, -np.pi / 2):
-            alpha = stokes.aolp + da
+            alpha = aolp + da
             n_cam = np.stack(
                 [
                     np.sin(th) * np.cos(alpha),
@@ -287,12 +316,12 @@ def orthographic_baseline(
                 ],
                 axis=-1,
             )
-            cands[..., idx, :] = cam.camera_to_world(n_cam)
+            cands[:, idx, :] = cam.camera_to_world(n_cam)
             idx += 1
-    valid = stokes.valid & np.all(np.isfinite(cands), axis=(-2, -1))
     best = None
     if truth_normals is not None:
-        dots = np.clip(np.sum(cands * truth_normals[..., None, :], axis=-1), -1.0, 1.0)
+        dots = np.clip(np.sum(cands * truth_normals[valid][:, None, :], axis=-1), -1.0, 1.0)
         pick = np.argmax(np.where(np.isfinite(dots), dots, -np.inf), axis=-1)
-        best = np.take_along_axis(cands, pick[..., None, None], axis=-2)[..., 0, :]
-    return OrthographicNormals(candidates=cands, valid=valid, best=best)
+        best = _scatter(valid, np.take_along_axis(cands, pick[:, None, None], axis=-2)[:, 0, :],
+                        np.nan)
+    return OrthographicNormals(candidates=_scatter(valid, cands, np.nan), valid=valid, best=best)
