@@ -43,14 +43,19 @@ def _nan_to(a, fill=0.0):
 
 def simulate(manifest_doc: dict, out_dir) -> dict:
     """Render a scene to disk: per-frame channel PFMs with their pattern
-    metadata, the ground-truth set and a render report."""
-    scene = validate_manifest(manifest_doc)  # before any output
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    metadata, the ground-truth set and a render report. A scene in which
+    no camera ray reaches the display via the surface is a DataError,
+    raised before any output."""
+    scene = validate_manifest(manifest_doc)
     record = RunRecord("simulate", manifest_hash(manifest_doc), __version__)
 
     truth = trace(scene)
     record.stage("trace")
+    if not truth.mask.any():
+        raise DataError(f"no camera ray reaches the display via the surface "
+                        f"(0 of {truth.mask.size} pixels hit)")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     frames, report = render_stack(scene, truth)
     record.stage("render")
 

@@ -152,13 +152,13 @@ def fuse_map(
     disp: DisplayPlane,
     interval: WorkingDistanceInterval,
     mat: MaterialOpticalProperties,
-    dop_model: str = "eq6",
+    dop_model: str | None = None,
     tol_theta: float = 1e-7,
     strict_dop: bool = False,
 ):
     """Fuse DoP and correspondence on the measurable pixels (a valid
     Stokes estimate and a decoded correspondence); every other pixel is
-    INVALID_DECODE.
+    INVALID_DECODE. dop_model None inverts with the material's model.
 
     Returns (SurfaceSolution, stats) over the full raster. Feasibility
     filtering over the working interval realizes the geometric
@@ -213,7 +213,7 @@ def fuse_pixel(
     interval: WorkingDistanceInterval,
     mat: MaterialOpticalProperties,
     *,
-    dop_model: str = "eq6",
+    dop_model: str | None = None,
     tol_theta: float = 1e-7,
     strict_dop: bool = False,
 ):

@@ -331,6 +331,16 @@ class TestCli:
         man = _write_manifest(tmp_path, doc)
         assert cli.main(["simulate", "--manifest", str(man)]) == cli.EXIT_CONFIG
 
+    def test_scene_without_hits_is_data_error(self, tmp_path, capsys):
+        doc = bearing_ball_manifest(size=32)
+        doc["surface"]["center"] = [0.0, 0.0, 500.0]  # beyond the working interval
+        man = _write_manifest(tmp_path, doc)
+        run = tmp_path / "run"
+        assert cli.main(["simulate", "--manifest", str(man), "--out", str(run)]) \
+            == cli.EXIT_DATA
+        assert "(0 of 1024 pixels hit)" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert cli.main(["reconstruct", str(tmp_path / "nope"), "--mode", "multi"]) \
             == cli.EXIT_DATA

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poldefl.polarization import (
     GRAZING_EPS,
@@ -225,6 +226,27 @@ class TestInvertDop:
         rho_hi = float(dop_model(hi, mat, model))
         cand = invert_dop(np.array([rho_hi]), mat, tol=1e-9, model=model)
         assert abs(cand.theta_high[0] - hi) < 1e-6
+
+    @settings(max_examples=150, deadline=None)
+    @given(which=st.sampled_from([("eq5", GLASS), ("eq6", STEEL), ("exact", STEEL)]),
+           data=st.data())
+    def test_masked_pixels_invert_bit_for_bit(self, which, data):
+        """Inverting only the masked pixels (as fusion does) gives, bit for
+        bit, what inverting the whole raster gives on them: zero DoP,
+        saturated DoP and DoP below the grazing-end value included, and
+        an empty mask."""
+        model, mat = which
+        _, rho_max = dop_peak(mat.m, mat.kappa, model)
+        rho_grazing = float(dop_model(np.pi / 2 - GRAZING_EPS, mat, model))
+        special = st.sampled_from([0.0, rho_grazing / 2, rho_grazing, rho_max,
+                                   (rho_max + 1.0) / 2, 1.0])
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=8))
+        rho = data.draw(hnp.arrays(np.float64, shape, elements=special | st.floats(0.0, 1.0)))
+        full = invert_dop(rho, mat, model=model)
+        for mask in (data.draw(hnp.arrays(np.bool_, shape)), np.zeros(shape, dtype=bool)):
+            packed = invert_dop(rho[mask], mat, model=model)
+            for name in ("theta_low", "theta_high", "saturated"):
+                assert getattr(full, name)[mask].tobytes() == getattr(packed, name).tobytes()
 
     def test_vectorized_matches_scalar(self, rng):
         rho = rng.uniform(0.0, 0.3, (16,))

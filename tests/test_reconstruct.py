@@ -298,8 +298,32 @@ class TestFuseMap:
         sol, stats = fuse_map(stokes, corr, scene.camera, scene.display,
                               scene.interval, scene.material)
         assert stats["measurable"] == 0 and stats["ok_fraction"] == 0.0
-        assert sol.counts()["ok"] == 0
+        assert np.all(sol.status == Status.INVALID_DECODE)
         assert np.all(np.isnan(sol.depth))
+        assert np.all(np.isnan(sol.candidates.theta_low)) and not sol.candidates.saturated.any()
+
+    def test_unset_model_is_the_materials(self):
+        """A dielectric fused without a DoP model is inverted with eq5 (the
+        material's model), bit for bit, not with the metal curve eq6."""
+        from poldefl.manifest import bearing_ball_manifest, validate_manifest
+
+        doc = bearing_ball_manifest(size=48)
+        doc["material"] = {"m": 1.5}
+        scene = validate_manifest(doc)
+        truth = trace(scene)
+        stokes, corr = _truth_stokes_corr(scene, truth, model="eq5")
+        args = (stokes, corr, scene.camera, scene.display, scene.interval, scene.material)
+        unset, _ = fuse_map(*args)
+        eq5, _ = fuse_map(*args, dop_model="eq5")
+        assert unset.ok.any()
+        for name in ("depth", "normals", "theta", "status"):
+            assert getattr(unset, name).tobytes() == getattr(eq5, name).tobytes()
+        y, x = np.argwhere(unset.ok)[0]
+        D = scene.display.index_to_point(np.array([corr.i[y, x], corr.j[y, x]]))
+        pixel = (stokes.dop[y, x], D, scene.camera.ray_grid()[y, x], scene.camera.center,
+                 scene.interval, scene.material)
+        assert fuse_pixel(*pixel)["depth"] == fuse_pixel(*pixel, dop_model="eq5")["depth"] \
+            == unset.depth[y, x]
 
     def test_strict_dop_marks_saturated_invalid(self, ball_truth):
         scene, truth = ball_truth
@@ -369,6 +393,24 @@ class TestOrthographicBaseline:
         best = got[int(np.argmax(dots))]
         np.testing.assert_allclose(np.abs(best), np.abs(expected), atol=1e-4)
         np.testing.assert_allclose(np.linalg.norm(got, axis=-1), 1.0, atol=1e-9)
+
+    def test_no_normal_off_measurable_pixels(self, tmp_path):
+        """No silent fill: the baseline reuses fusion's DoP inverse, which
+        runs on measurable pixels only. Elsewhere the baseline is not
+        valid and orthographic_best.pfm holds 0, not a made-up normal."""
+        from poldefl import pipeline
+        from poldefl.manifest import bearing_ball_manifest
+        from poldefl.pfmio import read_pfm
+
+        pipeline.simulate(bearing_ball_manifest(size=64), tmp_path)
+        rec = pipeline.reconstruct(tmp_path, "multi", with_baseline=True)
+        measurable = rec["stokes"].valid & rec["corr"].valid
+        assert 0 < measurable.sum() < measurable.size
+        assert np.array_equal(rec["baseline"].valid, measurable)
+        assert np.all(np.isnan(rec["baseline"].candidates[~measurable]))
+        best = read_pfm(tmp_path / "solution" / "orthographic_best.pfm")
+        assert np.all(best[~measurable] == 0)
+        assert np.all(np.any(best[measurable] != 0, axis=-1))
 
     def test_error_grows_with_field_angle(self, ball_run, ball_truth):
         scene, truth = ball_truth
